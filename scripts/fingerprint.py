@@ -1,0 +1,101 @@
+#!/usr/bin/env python3
+"""Fixed-seed output fingerprint: the sha256 of everything gen/train/eval/trace
+write, for checking that a change leaves the numerics bit for bit unchanged.
+
+Usage: python3 scripts/fingerprint.py
+
+Runs the CLI in a fresh temporary directory on five fixed-seed
+configurations (the benchmark's three workload shapes, then the no_u and
+no_infer ablations on the first shape) and prints one ``sha256  path`` line
+per artifact: each corpus file, and each run's metrics.jsonl, best.ckpt,
+val eval report and trace JSON. Paths are relative to the temporary
+directory, so the corpus path recorded in each checkpoint is the same on
+every run. Two checkouts with identical numerics print identical output.
+"""
+
+import contextlib
+import hashlib
+import io
+import logging
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from cag.cli import main  # noqa: E402
+from cag.config import RunConfig  # noqa: E402
+from cag.synthdial import CorpusManifest, load_split  # noqa: E402
+
+# corpus name -> (n_objects, rounds, candidates)
+CORPORA = {
+    "learn": (6, 4, 10),
+    "wide_graph": (16, 2, 4),
+    "long_dialog": (5, 10, 20),
+}
+SPLITS = {"train": 40, "val": 10, "test": 5}
+MODEL = dict(d=64, d_w=32, d_v=16, dropout=0.3, lr=4e-4, epochs=2, seed=13)
+# run name -> (corpus, config overrides)
+RUNS = {
+    "learn": ("learn", dict(k_neighbors=4, steps=3)),
+    "wide_graph": ("wide_graph", dict(k_neighbors=8, steps=8)),
+    "long_dialog": ("long_dialog", dict(k_neighbors=2, steps=1)),
+    "learn_no_u": ("learn", dict(k_neighbors=4, steps=3, ablations=["no_u"])),
+    "learn_no_infer": ("learn", dict(k_neighbors=4, steps=3, ablations=["no_infer"])),
+}
+
+
+def cag(*argv: str) -> str:
+    """Run one CLI command and return what it printed; exit on failure."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(list(argv))
+    if rc != 0:
+        sys.exit(f"cag {' '.join(argv)} exited with {rc}")
+    return out.getvalue()
+
+
+def produce() -> None:
+    """Write every artifact under the current directory."""
+    for seed, (name, (n_objects, rounds, candidates)) in enumerate(CORPORA.items(), 101):
+        manifest = CorpusManifest(seed=seed, splits=SPLITS, n_objects=n_objects,
+                                  rounds=rounds, candidates=candidates)
+        Path(f"{name}.manifest.json").write_text(manifest.to_json())
+        cag("gen", "--manifest", f"{name}.manifest.json", "--out", f"corpus/{name}")
+    for run, (corpus, overrides) in RUNS.items():
+        corpus_dir = f"corpus/{corpus}"
+        Path(f"{run}.config.json").write_text(RunConfig(**MODEL, **overrides).to_json())
+        cag("train", "--config", f"{run}.config.json", "--corpus", corpus_dir,
+            "--out", f"runs/{run}")
+        ckpt = f"runs/{run}/best.ckpt"
+        Path(f"runs/{run}/eval_val.json").write_text(cag("eval", "--ckpt", ckpt, "--split", "val"))
+        dialog = load_split(corpus_dir, "val")[0].dialog_id
+        cag("trace", "--ckpt", ckpt, "--dialog", str(dialog), "--out", f"runs/{run}/trace.json")
+
+
+def fingerprint() -> list[str]:
+    lines = []
+    for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
+        if path.parts[0] in ("corpus", "runs"):
+            lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.as_posix()}")
+    return lines
+
+
+def run() -> int:
+    os.environ.pop("CAG_SEED", None)  # the configs' seeds must hold
+    logging.basicConfig(level=logging.WARNING)
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory(prefix="cag-fingerprint-") as tmp:
+        os.chdir(tmp)
+        try:
+            produce()
+            lines = fingerprint()
+        finally:
+            os.chdir(home)
+    print("\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(run())

@@ -51,10 +51,8 @@ class RunConfig:
                 raise ValueError(f"{name} must be positive")
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
-
-    def effective_steps(self) -> int:
-        """Inference step count; the no-op-inference ablation forces zero steps."""
-        return 0 if "no_infer" in self.ablations else self.steps
+        if self.accum_rounds < 1:
+            raise ValueError(f"accum_rounds must be >= 1, got {self.accum_rounds}")
 
     def with_ablations(self, extra: list[str]) -> "RunConfig":
         merged = sorted(set(self.ablations) | set(extra))

@@ -70,10 +70,6 @@ class LSTMParams:
     w_h: Tensor  # (4d, d)
     b: Tensor    # (4d, 1)
 
-    @property
-    def hidden_size(self) -> int:
-        return self.w_h.data.shape[1]
-
     @classmethod
     def init(cls, d_in: int, d: int, rng: np.random.Generator) -> "LSTMParams":
         s = 1.0 / np.sqrt(d)
@@ -93,29 +89,12 @@ def lstm_encode(seq: Tensor, params: LSTMParams, valid: np.ndarray | None = None
     """Hidden sequence (d, m) for an input sequence (d_in, m).
 
     Initial hidden and cell states are zero. Positions where ``valid`` is
-    False (padding) carry the previous state forward unchanged.
+    False (padding) carry the previous state forward unchanged. The run is
+    one fused tape node (:func:`cag.tensor.lstm_sequence`).
     """
-    d = params.hidden_size
-    m = seq.data.shape[1]
-    if m < 1:
-        raise T.ShapeError("lstm_encode: empty sequence")
     if valid is None:
-        valid = np.ones(m, dtype=bool)
-    h = T.constant(np.zeros((d, 1)))
-    c = T.constant(np.zeros((d, 1)))
-    cols = []
-    for t in range(m):
-        if valid[t]:
-            x = T.take_col(seq, t)
-            pre = params.w_x @ x + params.w_h @ h + params.b
-            i = T.sigmoid(T.take_rows(pre, 0, d))
-            f = T.sigmoid(T.take_rows(pre, d, 2 * d))
-            g = T.tanh(T.take_rows(pre, 2 * d, 3 * d))
-            o = T.sigmoid(T.take_rows(pre, 3 * d, 4 * d))
-            c = f * c + i * g
-            h = o * T.tanh(c)
-        cols.append(h)
-    return T.concat(cols, axis=1) if m > 1 else cols[0]
+        valid = np.ones(seq.data.shape[-1], dtype=bool)
+    return T.lstm_sequence(seq, params.w_x, params.w_h, params.b, valid)
 
 
 def last_valid_column(hiddens: Tensor, valid: np.ndarray) -> Tensor:

@@ -103,14 +103,10 @@ class ModeFlags:
 
 @dataclass
 class GraphState:
-    """Node matrix at step t plus the edge data that produced it."""
+    """Node matrix at step t (the step's edge data lives in :class:`StepRecord`)."""
 
     step: int
-    nodes: Tensor                       # (2d, n)
-    adjacency: Tensor | None = None     # (n, n); row i holds weights of edges into i
-    neighbors: np.ndarray | None = None  # (n, K) selected in-neighbor indices
-    weights: np.ndarray | None = None    # (n, K) softmax-normalized edge weights
-    messages: Tensor | None = None       # (d, n)
+    nodes: Tensor  # (2d, n)
 
     @property
     def num_nodes(self) -> int:
@@ -246,8 +242,6 @@ def iterate(visual: Tensor, context: Tensor, command_fn: CommandFn,
         visual, context, no_context=flags.no_u)
     records: list[StepRecord] = []
     total = flags.effective_steps if num_steps is None else num_steps
-    v_data = visual.data
-    d = v_data.shape[0]
     for _ in range(total):
         t = state.step
         cmd = command_fn(t)
@@ -256,10 +250,6 @@ def iterate(visual: Tensor, context: Tensor, command_fn: CommandFn,
         routing, weights, messages = message_passing(
             state.nodes, adj, neighbors, cmd.vector, params)
         nxt = update_nodes(state, messages, params)
-        if not np.array_equal(nxt.nodes.data[:d], v_data):
-            raise RuntimeError(f"visual features drifted at step {t}")
-        state.adjacency, state.neighbors = adj, neighbors
-        state.weights, state.messages = weights, messages
         if record_trace:
             records.append(StepRecord(
                 step=t,

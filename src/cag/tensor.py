@@ -5,8 +5,12 @@ Every operation records a backward closure on the output tensor; calling
 topological order and accumulates gradients into ``.grad``. Gradients on
 leaf tensors accumulate across calls (call :func:`zero_grad` between
 optimizer steps). Intermediate tensors are created fresh per forward pass,
-so a pass owns its tape and independent passes may run concurrently as
-long as they do not share intermediates.
+so a pass owns its tape. :func:`no_grad` switches recording through one
+process-global flag, so passes must not run concurrently: a ``no_grad``
+block in one thread turns recording off for every other thread too.
+
+The LSTM recurrence is one fused primitive (:func:`lstm_sequence`): a whole
+sequence records a single tape node.
 """
 
 from __future__ import annotations
@@ -266,10 +270,15 @@ def tanh(a: Tensor) -> Tensor:
     return _out(y, (a,), bw)
 
 
-def sigmoid(a: Tensor) -> Tensor:
+def _sigmoid(x: np.ndarray) -> np.ndarray:
     # numerically symmetric formulation, exact for large |x|
-    y = np.where(a.data >= 0, 1.0 / (1.0 + np.exp(-np.abs(a.data))),
-                 np.exp(-np.abs(a.data)) / (1.0 + np.exp(-np.abs(a.data))))
+    e = np.exp(-np.abs(x))
+    den = 1.0 + e
+    return np.where(x >= 0, 1.0 / den, e / den)
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    y = _sigmoid(a.data)
 
     def bw(g):
         _accum(a, g * y * (1.0 - y))
@@ -400,6 +409,99 @@ def embedding_cols(table: Tensor, ids: Sequence[int], pad_id: int = 0) -> Tensor
         _accum(table, gt)
 
     return _out(out, (table,), bw)
+
+
+# ---------------------------------------------------------------------------
+# fused recurrence
+# ---------------------------------------------------------------------------
+
+
+def lstm_sequence(seq: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor,
+                  valid: np.ndarray) -> Tensor:
+    """Hidden states (d, m) of a single-layer LSTM run over the columns of ``seq``.
+
+    Gates are stacked [input, forget, cell, output] along the rows of ``w_x``
+    (4d, d_in), ``w_h`` (4d, d) and ``b`` (4d, 1). Hidden and cell states
+    start at zero; a position where ``valid`` is False repeats the previous
+    state, and with no valid position the result is a zero constant.
+
+    The run records one tape node whose backward is hand-written BPTT. Both
+    directions evaluate the expressions, operand shapes and accumulation
+    order of the same LSTM composed from ``matmul``, ``add``, ``take_rows``,
+    ``sigmoid``, ``tanh``, ``mul`` and ``concat``, so values and gradients
+    equal that composition bit for bit.
+    """
+    xs, wx, wh, bd = seq.data, w_x.data, w_h.data, b.data
+    valid = np.asarray(valid, dtype=bool)
+    d = wh.shape[-1]
+    if (xs.ndim != 2 or xs.shape[1] < 1 or valid.shape != xs.shape[1:]
+            or wx.shape != (4 * d, xs.shape[0]) or wh.shape != (4 * d, d)
+            or bd.shape != (4 * d, 1)):
+        raise ShapeError(
+            f"lstm_sequence: seq {xs.shape}, valid {valid.shape}, w_x {wx.shape}, "
+            f"w_h {wh.shape}, b {bd.shape} do not conform")
+    m = xs.shape[1]
+    steps = [int(t) for t in np.flatnonzero(valid)]
+    if not steps:
+        return constant(np.zeros((d, m)))
+    ends = steps[1:] + [m]  # the state of step k fills positions steps[k]:ends[k]
+    parents = (seq, w_x, w_h, b)
+    record = _grad_enabled and any(p.requires_grad for p in parents)
+
+    out = np.zeros((d, m))
+    h = np.zeros((d, 1))
+    c = np.zeros((d, 1))
+    cache = []
+    for t, end in zip(steps, ends):
+        x = xs[:, t : t + 1].copy()
+        pre = wx @ x + wh @ h + bd
+        i = _sigmoid(pre[:d])
+        f = _sigmoid(pre[d : 2 * d])
+        g = np.tanh(pre[2 * d : 3 * d])
+        o = _sigmoid(pre[3 * d :])
+        c_prev, h_prev = c, h
+        c = f * c + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        out[:, t:end] = h
+        if record:
+            cache.append((x, h_prev, c_prev, i, f, g, o, tc))
+
+    def bw(gout):
+        dseq = np.zeros(xs.shape) if seq.requires_grad else None
+        dh_rec = dc_rec = None  # gradients reaching step k's state from step k+1
+        for k in range(len(steps) - 1, -1, -1):
+            x, h_prev, c_prev, i, f, g, o, tc = cache[k]
+            t = steps[k]
+            # output columns in position order, then the recurrent term
+            dh = gout[:, t : t + 1]
+            for p in range(t + 1, ends[k]):
+                dh = dh + gout[:, p : p + 1]
+            if dh_rec is not None:
+                dh = dh + dh_rec
+            dc = (dh * o) * (1.0 - tc * tc)
+            if dc_rec is not None:
+                dc = dc + dc_rec
+            dpre = np.concatenate([
+                dc * g * i * (1.0 - i),
+                dc * c_prev * f * (1.0 - f),
+                dc * i * (1.0 - g * g),
+                dh * tc * o * (1.0 - o),
+            ])
+            # one accumulation per step, latest first: summing the steps
+            # before accumulating would round differently
+            _accum(b, dpre)
+            _accum(w_x, dpre @ x.T)
+            _accum(w_h, dpre @ h_prev.T)
+            if dseq is not None:
+                dseq[:, t : t + 1] = wx.T @ dpre
+            if k:
+                dh_rec = wh.T @ dpre
+                dc_rec = dc * f
+        if dseq is not None:
+            _accum(seq, dseq)
+
+    return _out(out, parents, bw)
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,7 @@ def train(train_set: Sequence[DialogInstance], val_set: Sequence[DialogInstance]
         result.best_optim = copy.deepcopy(optim)
         return model, optim, result, vocab
 
-    accum = max(1, cfg.accum_rounds)
+    accum = cfg.accum_rounds
     for epoch in range(cfg.epochs):
         optim.epoch = epoch
         order = rng_shuffle.permutation(len(enc_train))

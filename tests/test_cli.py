@@ -133,6 +133,21 @@ class TestTrainCommand:
         assert rc == 2
         assert "d_v" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rounds", [0, -1])
+    def test_nonpositive_accum_rounds_rejected(self, tmp_path, corpus_dir, capsys, rounds):
+        cfg = tiny_run_config().to_dict()
+        cfg["accum_rounds"] = rounds
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = main(["train", "--config", str(cfg_path), "--corpus", str(corpus_dir),
+                   "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert [l for l in err.splitlines() if l.startswith("error:")] == [
+            f"error: accum_rounds must be >= 1, got {rounds}"]
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
 
 class TestEvalCommand:
     def test_report_fields_and_determinism(self, trained, capsys):

@@ -23,6 +23,30 @@ def np_sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def reference_lstm_encode(seq, params, valid=None):
+    """The LSTM as a composition of tape primitives, one node per op: the
+    oracle the fused ``lstm_encode`` must match bit for bit."""
+    d = params.w_h.data.shape[1]
+    m = seq.data.shape[1]
+    if valid is None:
+        valid = np.ones(m, dtype=bool)
+    h = T.constant(np.zeros((d, 1)))
+    c = T.constant(np.zeros((d, 1)))
+    cols = []
+    for t in range(m):
+        if valid[t]:
+            x = T.take_col(seq, t)
+            pre = params.w_x @ x + params.w_h @ h + params.b
+            i = T.sigmoid(T.take_rows(pre, 0, d))
+            f = T.sigmoid(T.take_rows(pre, d, 2 * d))
+            g = T.tanh(T.take_rows(pre, 2 * d, 3 * d))
+            o = T.sigmoid(T.take_rows(pre, 3 * d, 4 * d))
+            c = f * c + i * g
+            h = o * T.tanh(c)
+        cols.append(h)
+    return T.concat(cols, axis=1) if m > 1 else cols[0]
+
+
 class TestVocab:
     def test_reserved_ids(self):
         v = Vocab.build([["a", "b"], ["b"]])
@@ -77,6 +101,26 @@ class TestLSTM:
         for m in (1, 2, 7):
             assert lstm_encode(constant(rng.normal(size=(3, m))), p).data.shape == (4, m)
 
+    def test_one_tape_node_per_run(self):
+        rng = np.random.default_rng(18)
+        p = LSTMParams.init(2, 3, rng)
+        seq = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
+        out = lstm_encode(seq, p, np.array([True, False, True, True, False]))
+        assert out.requires_grad and out._parents == (seq, p.w_x, p.w_h, p.b)
+        with T.no_grad():
+            out = lstm_encode(seq, p)
+        assert not out.requires_grad and out._backward is None
+
+    def test_nonconforming_shapes_rejected(self):
+        rng = np.random.default_rng(19)
+        p = LSTMParams.init(2, 3, rng)
+        with pytest.raises(T.ShapeError):
+            lstm_encode(constant(np.zeros((2, 0))), p)
+        with pytest.raises(T.ShapeError):
+            lstm_encode(constant(np.zeros((3, 4))), p)
+        with pytest.raises(T.ShapeError):
+            lstm_encode(constant(np.zeros((2, 4))), p, np.ones(3, dtype=bool))
+
     def test_pad_positions_carry_state_forward(self):
         rng = np.random.default_rng(3)
         p = LSTMParams.init(2, 3, rng)
@@ -98,6 +142,104 @@ class TestLSTM:
             loss, [("seq", seq)] + list(p.named("lstm")), step=1e-5, tol=1e-4
         )
         assert report.passed, report.summary()
+
+    def test_gradient_with_pad_mask(self):
+        rng = np.random.default_rng(17)
+        p = LSTMParams.init(3, 4, rng)
+        seq = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
+        valid = np.array([False, True, True, False, True, False])
+        weights = constant(rng.normal(size=(4, 6)))
+
+        def loss():
+            return T.mul(lstm_encode(seq, p, valid), weights).sum()
+
+        report = finite_diff_check(
+            loss, [("seq", seq)] + list(p.named("lstm")), step=1e-5, tol=1e-4
+        )
+        assert report.passed, report.summary()
+        # PAD inputs never enter the recurrence
+        assert not seq.grad[:, ~valid].any()
+
+
+class TestFusedMatchesPerOpReference:
+    """``lstm_encode`` (one fused tape node) against the per-op oracle:
+    outputs and every gradient compared with ``np.array_equal``."""
+
+    D, D_IN = 5, 4
+
+    @staticmethod
+    def _run(encode, build, leaves):
+        """Outputs with the tape on and off, and the gradients of ``leaves``
+        plus those of the sequences fed to the encoder."""
+        for leaf in leaves:
+            leaf.grad = None
+        loss, outs, seqs = build(encode)
+        T.backward(loss)
+        with T.no_grad():
+            _, outs_nograd, _ = build(encode)
+        grads = [None if t.grad is None else t.grad.copy() for t in leaves + seqs]
+        return [o.data for o in outs], [o.data for o in outs_nograd], grads
+
+    def _assert_same(self, build, leaves):
+        fwd, fwd_ng, grads = self._run(lstm_encode, build, leaves)
+        ref, ref_ng, ref_grads = self._run(reference_lstm_encode, build, leaves)
+        for a, b, c, e in zip(fwd, fwd_ng, ref, ref_ng):
+            assert np.array_equal(a, c) and np.array_equal(b, e) and np.array_equal(a, b)
+        assert len(grads) == len(ref_grads)
+        for g, r in zip(grads, ref_grads):
+            assert (g is None) == (r is None)
+            if g is not None:
+                assert np.array_equal(g, r)
+
+    @pytest.mark.parametrize("mask", [
+        [True, True, True, True, True, True],
+        [False, False, True, True, True, True],    # leading PAD
+        [True, False, False, True, False, True],   # interior PAD
+        [True, True, True, False, False, False],   # trailing PAD
+        [False, True, False, False, True, False],  # all three
+        [False] * 6,                               # no valid position
+        [True],                                    # m == 1
+        [False],
+    ])
+    def test_single_call(self, mask):
+        rng = np.random.default_rng(sum(1 << i for i, v in enumerate(mask) if v) + len(mask))
+        p = LSTMParams.init(self.D_IN, self.D, rng)
+        valid = np.array(mask)
+        seq = Tensor(rng.normal(size=(self.D_IN, valid.size)), requires_grad=True)
+        weights = constant(rng.normal(size=(self.D, valid.size)))
+        leaves = [seq, p.w_x, p.w_h, p.b]
+
+        def build(encode):
+            out = encode(seq, p, valid)
+            # the second term keeps the loss on the tape when the run is constant
+            return T.mul(out, weights).sum() + T.mul(seq, seq).sum(), [out], []
+
+        self._assert_same(build, leaves)
+
+    def test_shared_parameters_and_second_consumer(self):
+        # three runs share one LSTM and feed one loss; the first sequence is
+        # also read directly, as question.word_embs is by the word attention
+        rng = np.random.default_rng(41)
+        p = LSTMParams.init(self.D_IN, self.D, rng)
+        table = Tensor(rng.normal(size=(9, self.D_IN)), requires_grad=True)
+        streams = [[3, 5, 2, 0], [0, 4, 4, 7, 0, 8], [6]]
+        alpha = constant(rng.normal(size=(1, 4)))
+        w_q = constant(rng.normal(size=(self.D, 4)))
+        leaves = [table, p.w_x, p.w_h, p.b]
+
+        def build(encode):
+            seqs = [embed_tokens(ids, table) for ids in streams]
+            outs, cols = [], []
+            for ids, embs in zip(streams, seqs):
+                valid = np.array([i != Vocab.PAD for i in ids])
+                outs.append(encode(embs, p, valid))
+                cols.append(last_valid_column(outs[-1], valid))
+            direct = seqs[0] @ T.transpose(alpha)
+            loss = (T.concat(cols, axis=1).sum() + T.mul(outs[0], w_q).sum()
+                    + T.mul(direct, direct).sum())
+            return loss, outs, seqs
+
+        self._assert_same(build, leaves)
 
 
 class TestHistoryAttention:
