@@ -4,13 +4,14 @@ write, for checking that a change leaves the numerics bit for bit unchanged.
 
 Usage: python3 scripts/fingerprint.py
 
-Runs the CLI in a fresh temporary directory on five fixed-seed
-configurations (the benchmark's three workload shapes, then the no_u and
-no_infer ablations on the first shape) and prints one ``sha256  path`` line
-per artifact: each corpus file, and each run's metrics.jsonl, best.ckpt,
-val eval report and trace JSON. Paths are relative to the temporary
-directory, so the corpus path recorded in each checkpoint is the same on
-every run. Two checkouts with identical numerics print identical output.
+Runs the CLI in a fresh temporary directory on eight fixed-seed
+configurations (the benchmark's three workload shapes, then the no_u,
+no_infer, no_q_att and no_g_att ablations and the dualq variant on the
+first shape) and prints one ``sha256  path`` line per artifact: each corpus
+file, and each run's metrics.jsonl, best.ckpt, val eval report and trace
+JSON. Paths are relative to the temporary directory, so the corpus path
+recorded in each checkpoint is the same on every run. Two checkouts with
+identical numerics print identical output.
 """
 
 import contextlib
@@ -43,6 +44,9 @@ RUNS = {
     "long_dialog": ("long_dialog", dict(k_neighbors=2, steps=1)),
     "learn_no_u": ("learn", dict(k_neighbors=4, steps=3, ablations=["no_u"])),
     "learn_no_infer": ("learn", dict(k_neighbors=4, steps=3, ablations=["no_infer"])),
+    "learn_dualq": ("learn", dict(k_neighbors=4, steps=3, variant="dualq")),
+    "learn_no_q_att": ("learn", dict(k_neighbors=4, steps=3, ablations=["no_q_att"])),
+    "learn_no_g_att": ("learn", dict(k_neighbors=4, steps=3, ablations=["no_g_att"])),
 }
 
 

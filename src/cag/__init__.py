@@ -2,11 +2,11 @@
 graphs, trained on a synthetic grounded-dialog corpus with a symbolic
 answer oracle."""
 
-from .config import RunConfig, tiny_config
+from .config import RunConfig
 from .decoder import OptimState, RankReport, adam_step, npair_loss, rank_metrics
 from .encoders import Vocab
 from .gradcheck import finite_diff_check
-from .graph import GraphParams, GraphState, ModeFlags
+from .graph import GraphParams, GraphState
 from .model import Model, ModelParams, encode_instance
 from .synthdial import (CorpusManifest, generate_corpus, generate_dialog,
                         generate_scene, oracle_answer)
@@ -14,9 +14,9 @@ from .tensor import Tensor, backward, no_grad, topk_indices
 from .training import evaluate, train
 
 __all__ = [
-    "RunConfig", "tiny_config", "OptimState", "RankReport", "adam_step",
-    "npair_loss", "rank_metrics", "Vocab", "finite_diff_check", "GraphParams",
-    "GraphState", "ModeFlags", "Model", "ModelParams", "encode_instance",
+    "RunConfig", "OptimState", "RankReport", "adam_step", "npair_loss",
+    "rank_metrics", "Vocab", "finite_diff_check", "GraphParams", "GraphState",
+    "Model", "ModelParams", "encode_instance",
     "CorpusManifest", "generate_corpus", "generate_dialog", "generate_scene",
     "oracle_answer", "Tensor", "backward", "no_grad", "topk_indices",
     "evaluate", "train",

@@ -161,9 +161,9 @@ def build_trace_doc(model, enc, result) -> dict:
         "predicted_rank": rank_of(logits, enc.gt),
         "gt": enc.gt,
     }
-    if len(doc["steps"]) != model.flags.effective_steps:
+    if len(doc["steps"]) != cfg.effective_steps:
         raise ValueError(f"trace has {len(doc['steps'])} step records, expected "
-                         f"{model.flags.effective_steps}")
+                         f"{cfg.effective_steps}")
     return doc
 
 

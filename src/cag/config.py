@@ -15,6 +15,15 @@ MAX_CAPTION_TOKENS = 40
 MAX_QUESTION_TOKENS = 20
 MAX_ANSWER_TOKENS = 20
 
+# field annotation -> check on its value; bool is an int subclass, so the
+# numeric checks refuse it by name
+_TYPE_CHECKS = {
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "list[str]": lambda v: isinstance(v, list) and all(isinstance(a, str) for a in v),
+}
+
 
 @dataclass
 class RunConfig:
@@ -39,6 +48,10 @@ class RunConfig:
     out_dir: str = ""
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not _TYPE_CHECKS[f.type](value):
+                raise ValueError(f"config field {f.name!r} must be {f.type}, got {value!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         for a in self.ablations:
@@ -53,6 +66,11 @@ class RunConfig:
             raise ValueError("steps must be >= 0")
         if self.accum_rounds < 1:
             raise ValueError(f"accum_rounds must be >= 1, got {self.accum_rounds}")
+
+    @property
+    def effective_steps(self) -> int:
+        """Inference steps the model runs: none under the no_infer ablation."""
+        return 0 if "no_infer" in self.ablations else self.steps
 
     def with_ablations(self, extra: list[str]) -> "RunConfig":
         merged = sorted(set(self.ablations) | set(extra))
@@ -80,11 +98,3 @@ class RunConfig:
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-def tiny_config(**overrides) -> RunConfig:
-    """Small dimensions for fast exact tests and gradient checks."""
-    base = dict(d=8, d_w=6, d_v=7, k_neighbors=2, steps=2, dropout=0.0,
-                lr=4e-4, epochs=1, seed=1)
-    base.update(overrides)
-    return RunConfig(**base)

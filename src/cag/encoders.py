@@ -71,7 +71,7 @@ class LSTMParams:
     b: Tensor    # (4d, 1)
 
     @classmethod
-    def init(cls, d_in: int, d: int, rng: np.random.Generator) -> "LSTMParams":
+    def init(cls, d_in: int, d: int, rng: np.random.Generator | None) -> "LSTMParams":
         s = 1.0 / np.sqrt(d)
         return cls(
             w_x=T.parameter((4 * d, d_in), rng, s),
@@ -178,7 +178,7 @@ class StepAttentionParams:
     score: Tensor      # (1, d)
 
     @classmethod
-    def init(cls, d: int, rng: np.random.Generator) -> "StepAttentionParams":
+    def init(cls, d: int, rng: np.random.Generator | None) -> "StepAttentionParams":
         s = 1.0 / np.sqrt(d)
         return cls(T.parameter((d, d), rng, s), T.parameter((d, d), rng, s),
                    T.parameter((1, d), rng, s))

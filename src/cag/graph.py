@@ -12,12 +12,13 @@ neighbor choice itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
 
 from . import tensor as T
+from .config import RunConfig
 from .encoders import Drop, QuestionCommand, _identity
 from .tensor import Tensor
 
@@ -39,7 +40,7 @@ class GraphParams:
     fusion: Tensor             # (d, 4d)
 
     @classmethod
-    def init(cls, d: int, d_w: int, rng: np.random.Generator) -> "GraphParams":
+    def init(cls, d: int, d_w: int, rng: np.random.Generator | None) -> "GraphParams":
         def u(rows, cols, gain=1.0):
             return T.parameter((rows, cols), rng, gain / np.sqrt(cols))
 
@@ -61,44 +62,8 @@ class GraphParams:
         )
 
     def named(self, prefix: str = "graph"):
-        for f_ in ("edge_dst_proj", "edge_src_proj", "edge_cmd_gate",
-                   "edge_dst_cmd_gate", "msg_node_proj", "msg_cmd_gate",
-                   "ctx_update", "att_q_proj", "att_node_proj", "att_score",
-                   "fusion"):
-            yield f"{prefix}.{f_}", getattr(self, f_)
-
-
-@dataclass
-class ModeFlags:
-    """Variant switch, ablation toggles, and the two inference knobs."""
-
-    variant: str = "cag"  # "cag" or "dualq"
-    no_infer: bool = False
-    no_u: bool = False
-    no_q_att: bool = False
-    no_g_att: bool = False
-    k_neighbors: int = 8
-    steps: int = 3
-
-    def __post_init__(self) -> None:
-        if self.variant not in ("cag", "dualq"):
-            raise ValueError(f"unknown variant {self.variant!r}")
-
-    @property
-    def effective_steps(self) -> int:
-        return 0 if self.no_infer else self.steps
-
-    @classmethod
-    def from_config(cls, cfg) -> "ModeFlags":
-        return cls(
-            variant=cfg.variant,
-            no_infer="no_infer" in cfg.ablations,
-            no_u="no_u" in cfg.ablations,
-            no_q_att="no_q_att" in cfg.ablations,
-            no_g_att="no_g_att" in cfg.ablations,
-            k_neighbors=cfg.k_neighbors,
-            steps=cfg.steps,
-        )
+        for f_ in fields(self):
+            yield f"{prefix}.{f_.name}", getattr(self, f_.name)
 
 
 @dataclass
@@ -107,10 +72,6 @@ class GraphState:
 
     step: int
     nodes: Tensor  # (2d, n)
-
-    @property
-    def num_nodes(self) -> int:
-        return self.nodes.data.shape[1]
 
 
 @dataclass
@@ -226,27 +187,27 @@ CommandFn = Callable[[int], QuestionCommand]
 
 
 def iterate(visual: Tensor, context: Tensor, command_fn: CommandFn,
-            params: GraphParams, flags: ModeFlags,
+            params: GraphParams, cfg: RunConfig,
             record_trace: bool = False,
             start_state: GraphState | None = None,
             num_steps: int | None = None,
             ) -> tuple[GraphState, list[StepRecord]]:
     """Run the inference loop: command -> adjacency -> top-K -> messages ->
-    update, for the configured number of steps.
+    update, for ``cfg.effective_steps`` steps.
 
     Zero steps returns the constructed graph untouched. ``start_state``
     resumes from a saved state (step counting continues), which makes the
     loop composable: T steps equal T-1 steps plus one manual step.
     """
     state = start_state if start_state is not None else init_graph(
-        visual, context, no_context=flags.no_u)
+        visual, context, no_context="no_u" in cfg.ablations)
     records: list[StepRecord] = []
-    total = flags.effective_steps if num_steps is None else num_steps
+    total = cfg.effective_steps if num_steps is None else num_steps
     for _ in range(total):
         t = state.step
         cmd = command_fn(t)
-        adj = adjacency(state.nodes, cmd.vector, params, flags.variant)
-        neighbors = select_neighbors(adj.data, flags.k_neighbors)
+        adj = adjacency(state.nodes, cmd.vector, params, cfg.variant)
+        neighbors = select_neighbors(adj.data, cfg.k_neighbors)
         routing, weights, messages = message_passing(
             state.nodes, adj, neighbors, cmd.vector, params)
         nxt = update_nodes(state, messages, params)

@@ -15,8 +15,7 @@ from .decoder import score_candidates
 from .encoders import (LSTMParams, QuestionCommand, StepAttentionParams,
                        Vocab, encode_history, encode_question,
                        history_attention, question_command)
-from .graph import (AttentionTrace, GraphParams, ModeFlags, fuse,
-                    graph_attention, iterate)
+from .graph import AttentionTrace, GraphParams, fuse, graph_attention, iterate
 from .synthdial import DialogInstance, token_sentences
 from .tensor import Tensor
 
@@ -25,7 +24,7 @@ from .tensor import Tensor
 class ModelParams:
     """Every trainable weight, addressable by stable dotted names."""
 
-    embedding: Tensor                 # (vocab, d_w), uniform(-0.08, 0.08)
+    embedding: Tensor                 # (vocab, d_w), uniform(-0.8, 0.8)
     question_lstm: LSTMParams         # d_w -> d
     history_lstm: LSTMParams          # d_w -> d; also encodes candidates
     hist_att_q: Tensor                # (d, d)
@@ -50,39 +49,19 @@ class ModelParams:
         d, d_w = cfg.d, cfg.d_w
 
         def u(rows, cols, scale=None):
-            if rng is None:
-                return Tensor(np.zeros((rows, cols)), requires_grad=True)
             return T.parameter((rows, cols), rng, scale or 1.0 / np.sqrt(cols))
 
-        def lstm(d_in):
-            if rng is None:
-                return LSTMParams(
-                    Tensor(np.zeros((4 * d, d_in)), requires_grad=True),
-                    Tensor(np.zeros((4 * d, d)), requires_grad=True),
-                    Tensor(np.zeros((4 * d, 1)), requires_grad=True))
-            return LSTMParams.init(d_in, d, rng)
-
-        def step_att():
-            if rng is None:
-                return StepAttentionParams(
-                    Tensor(np.zeros((d, d)), requires_grad=True),
-                    Tensor(np.zeros((d, d)), requires_grad=True),
-                    Tensor(np.zeros((1, d)), requires_grad=True))
-            return StepAttentionParams.init(d, rng)
-
-        graph = (GraphParams.init(d, d_w, rng) if rng is not None else GraphParams(
-            *[Tensor(np.zeros(s), requires_grad=True) for s in (
-                (d, 2 * d), (d, 2 * d), (d, d_w), (d, d_w), (d, 2 * d),
-                (d, d_w), (d, 2 * d), (d, d), (d, 2 * d), (1, d), (d, 4 * d))]))
+        # drawn before the rest: the draw order fixes every initial weight
+        graph = GraphParams.init(d, d_w, rng)
 
         return cls(
             embedding=u(vocab_size, d_w, scale=0.8),
-            question_lstm=lstm(d_w),
-            history_lstm=lstm(d_w),
+            question_lstm=LSTMParams.init(d_w, d, rng),
+            history_lstm=LSTMParams.init(d_w, d, rng),
             hist_att_q=u(d, d),
             hist_att_mem=u(d, d),
             hist_att_score=u(1, d),
-            step_attention=[step_att() for _ in range(cfg.steps)],
+            step_attention=[StepAttentionParams.init(d, rng) for _ in range(cfg.steps)],
             cmd_from_sentence=u(d_w, d),
             graph=graph,
             visual_proj=u(d, cfg.d_v),
@@ -179,22 +158,20 @@ class ForwardResult:
 class Model:
     """Parameters plus configuration, runnable on encoded instances."""
 
-    def __init__(self, params: ModelParams, cfg: RunConfig,
-                 flags: ModeFlags | None = None):
+    def __init__(self, params: ModelParams, cfg: RunConfig):
         self.params = params
         self.cfg = cfg
-        self.flags = flags if flags is not None else ModeFlags.from_config(cfg)
-        if self.flags.steps > len(params.step_attention):
+        if cfg.steps > len(params.step_attention):
             raise ValueError(
-                f"configured {self.flags.steps} steps but parameters cover "
+                f"configured {cfg.steps} steps but parameters cover "
                 f"{len(params.step_attention)}")
 
     def forward(self, enc: EncodedInstance, training: bool = False,
                 drop_rng: np.random.Generator | None = None,
                 want_trace: bool = False,
                 candidate_cache: dict | None = None) -> ForwardResult:
-        p, flags = self.params, self.flags
-        keep = 1.0 - self.cfg.dropout
+        p, cfg = self.params, self.cfg
+        keep = 1.0 - cfg.dropout
         if training and keep < 1.0:
             if drop_rng is None:
                 raise ValueError("training forward needs a dropout rng")
@@ -210,9 +187,9 @@ class Model:
         question = encode_question(enc.question_ids, p.embedding, p.question_lstm)
 
         alpha_h = None
-        if flags.no_u:
+        if "no_u" in cfg.ablations:
             # history only enters through u; skip the encoder unless tracing
-            context = T.constant(np.zeros((self.cfg.d, 1)))
+            context = T.constant(np.zeros((cfg.d, 1)))
             if want_trace:
                 history = encode_history([enc.caption_ids] + enc.round_ids,
                                          p.embedding, p.history_lstm)
@@ -226,8 +203,8 @@ class Model:
                 question.sentence, history, p.hist_att_q, p.hist_att_mem,
                 p.hist_att_score, drop)
 
-        total_steps = flags.effective_steps
-        if flags.no_q_att:
+        total_steps = cfg.effective_steps
+        if "no_q_att" in cfg.ablations:
             shared = p.cmd_from_sentence @ question.sentence
             uniform = question.valid / question.valid.sum()
 
@@ -238,10 +215,10 @@ class Model:
                 return question_command(question, t, total_steps,
                                         p.step_attention[t - 1], drop)
 
-        state, records = iterate(visual, context, command_fn, p.graph, flags,
+        state, records = iterate(visual, context, command_fn, p.graph, cfg,
                                  record_trace=want_trace)
         graph_emb, alpha_g = graph_attention(state.nodes, question.sentence,
-                                             p.graph, flags.no_g_att, drop)
+                                             p.graph, "no_g_att" in cfg.ablations, drop)
         fused = fuse(graph_emb, context, question.sentence, p.graph, drop)
 
         cols = []

@@ -542,6 +542,9 @@ def instance_to_dict(inst: DialogInstance) -> dict:
 
 
 def instance_from_dict(data: dict) -> DialogInstance:
+    gt, n_cand = data["gt"], len(data["candidates"])
+    if type(gt) is not int or not 0 <= gt < n_cand:
+        raise ValueError(f"gt {gt!r} outside [0, {n_cand})")
     objects = [SceneObject(o["cat"], o["color"], o["size"], tuple(o["cell"]))
                for o in data["scene"]["objects"]]
     scene = Scene(objects, data["scene"]["grid"])
@@ -553,7 +556,7 @@ def instance_from_dict(data: dict) -> DialogInstance:
             q, a = data["history"][idx]
             answer = a[0]
         else:
-            q, answer = data["question"], data["candidates"][data["gt"]][0]
+            q, answer = data["question"], data["candidates"][gt][0]
         rounds.append(DialogRound(
             question=list(q),
             answer=answer,
@@ -562,7 +565,7 @@ def instance_from_dict(data: dict) -> DialogInstance:
             pronoun=idx == n_hist and meta["pronoun"],
         ))
     return DialogInstance(data["id"], scene, list(data["caption"]), rounds,
-                          [c[0] for c in data["candidates"]], data["gt"])
+                          [c[0] for c in data["candidates"]], gt)
 
 
 def save_corpus(corpus: dict[str, list[DialogInstance]], manifest: CorpusManifest,
@@ -585,8 +588,18 @@ def load_split(corpus_dir: str, split: str) -> list[DialogInstance]:
     path = os.path.join(corpus_dir, f"{split}.jsonl")
     if not os.path.exists(path):
         raise FileNotFoundError(f"no {split!r} split at {path}")
+    instances = []
     with open(path) as fh:
-        return [instance_from_dict(json.loads(line)) for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                instances.append(instance_from_dict(json.loads(line)))
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
+            except (ValueError, IndexError, TypeError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    return instances
 
 
 def load_manifest(corpus_dir: str) -> CorpusManifest:

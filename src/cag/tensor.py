@@ -111,11 +111,12 @@ def constant(data) -> Tensor:
     return Tensor(np.asarray(data, dtype=np.float64))
 
 
-def parameter(data, rng: np.random.Generator | None = None, scale_: float | None = None) -> Tensor:
-    """Leaf tensor with ``requires_grad=True``; optionally uniform(-scale, scale) init."""
-    if rng is not None:
-        data = rng.uniform(-scale_, scale_, size=data)
-    return Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
+def parameter(shape: tuple[int, ...], rng: np.random.Generator | None = None,
+              scale_: float | None = None) -> Tensor:
+    """Leaf tensor with ``requires_grad=True``, drawn from uniform(-scale, scale);
+    zeros when ``rng`` is None (a shell for checkpoint loading to fill in)."""
+    data = np.zeros(shape) if rng is None else rng.uniform(-scale_, scale_, size=shape)
+    return Tensor(data, requires_grad=True)
 
 
 # ---------------------------------------------------------------------------

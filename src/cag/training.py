@@ -16,7 +16,6 @@ from . import tensor as T
 from .config import RunConfig
 from .decoder import (OptimState, RankReport, adam_step, metrics_from_ranks,
                       npair_loss, rank_of)
-from .graph import ModeFlags
 from .model import (EncodedInstance, Model, ModelParams, build_vocab,
                     encode_instance)
 from .synthdial import DialogInstance
@@ -138,7 +137,3 @@ def train(train_set: Sequence[DialogInstance], val_set: Sequence[DialogInstance]
         result.best_optim = copy.deepcopy(optim)
         result.best_epoch = cfg.epochs - 1
     return model, optim, result, vocab
-
-
-def ablation_flags(cfg: RunConfig, extra: Sequence[str]) -> ModeFlags:
-    return ModeFlags.from_config(cfg.with_ablations(list(extra)))

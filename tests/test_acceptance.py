@@ -18,7 +18,7 @@ from cag.config import RunConfig
 from cag.decoder import metrics_from_ranks, npair_loss, rank_metrics
 from cag.encoders import QuestionCommand
 from cag.gradcheck import finite_diff_check
-from cag.graph import (GraphParams, ModeFlags, adjacency, graph_attention,
+from cag.graph import (GraphParams, adjacency, graph_attention,
                        init_graph, iterate, message_passing, select_neighbors,
                        update_nodes)
 from cag.model import Model, ModelParams, build_vocab, encode_instance
@@ -232,7 +232,7 @@ def test_criterion_07_compositionality():
         context = constant(rng.normal(size=(d, 1)))
         vecs = {t: constant(rng.normal(size=(d_w, 1))) for t in (1, 2)}
         commands = lambda t: QuestionCommand(t, constant(np.ones((1, 1))), vecs[t])
-        flags = ModeFlags(k_neighbors=2, steps=2)
+        flags = RunConfig(k_neighbors=2, steps=2)
 
         full, _ = iterate(visual, context, commands, params, flags)
 

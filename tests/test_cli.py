@@ -148,6 +148,31 @@ class TestTrainCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("field,value,expected", [
+        ("d", "64", "int"),
+        ("steps", 2.5, "int"),
+        ("k_neighbors", True, "int"),
+        ("lr", True, "float"),
+        ("lr", "4e-4", "float"),
+        ("variant", 1, "str"),
+        ("ablations", "no_u", "list[str]"),
+        ("ablations", ["no_u", 3], "list[str]"),
+    ])
+    def test_config_field_types_checked(self, tmp_path, corpus_dir, capsys,
+                                        field, value, expected):
+        cfg = tiny_run_config().to_dict()
+        cfg[field] = value
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = main(["train", "--config", str(cfg_path), "--corpus", str(corpus_dir),
+                   "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert [l for l in err.splitlines() if l.startswith("error:")] == [
+            f"error: config field {field!r} must be {expected}, got {value!r}"]
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
 
 class TestEvalCommand:
     def test_report_fields_and_determinism(self, trained, capsys):
@@ -176,6 +201,41 @@ class TestEvalCommand:
         assert a["logits"] != b["logits"]
         n = len(tiny_corpus["val"][0].scene.objects)
         assert b["alpha_g"] == [1.0 / n] * n
+        # no_infer reaches the step count the trace export checks against
+        no_infer = tmp_path / "no_infer.json"
+        assert main(["trace", "--ckpt", str(out / "best.ckpt"),
+                     "--dialog", str(dialog_id), "--out", str(no_infer),
+                     "--ablate", "no_infer"]) == 0
+        c = json.loads(no_infer.read_text())
+        assert a["steps"] and c["steps"] == []
+        assert a["logits"] != c["logits"]
+
+    @pytest.mark.parametrize("mutate,expected", [
+        (lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "gt"}),
+         "missing field 'gt'"),
+        (lambda line: json.dumps({**json.loads(line), "gt": 9}), "gt 9 outside [0, 6)"),
+        (lambda line: json.dumps({**json.loads(line), "gt": -1}), "gt -1 outside [0, 6)"),
+        (lambda line: line[: len(line) // 2], "line 1 column"),
+    ], ids=["no_gt", "gt_too_large", "gt_negative", "truncated_json"])
+    def test_malformed_corpus_line_named(self, trained, corpus_dir, tmp_path, capsys,
+                                         mutate, expected):
+        out, _ = trained
+        bad = tmp_path / "corpus"
+        bad.mkdir()
+        for f in corpus_dir.iterdir():
+            (bad / f.name).write_bytes(f.read_bytes())
+        lines = (bad / "val.jsonl").read_text().splitlines()
+        lines[1] = mutate(lines[1])
+        (bad / "val.jsonl").write_text("\n".join(lines) + "\n")
+        rc = main(["eval", "--ckpt", str(out / "best.ckpt"), "--split", "val",
+                   "--corpus", str(bad)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        errors = [l for l in err.splitlines() if l.startswith("error:")]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"error: {bad / 'val.jsonl'}:2: ")
+        assert expected in errors[0]
+        assert "Traceback" not in err
 
     def test_eval_after_roundtrip_matches_in_memory(self, trained, corpus_dir, tiny_corpus):
         out, _ = trained

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from cag import tensor as T
+from cag.config import RunConfig
 from cag.encoders import QuestionCommand
 from cag.gradcheck import finite_diff_check
 from cag.graph import (
     GraphParams,
     GraphState,
-    ModeFlags,
     adjacency,
     fuse,
     graph_attention,
@@ -208,7 +208,7 @@ class TestIterate:
     def test_zero_steps_returns_constructed_graph(self, rng, params):
         v = constant(rng.normal(size=(D, 4)))
         u = constant(rng.normal(size=(D, 1)))
-        flags = ModeFlags(k_neighbors=2, steps=0)
+        flags = RunConfig(k_neighbors=2, steps=0)
         state, records = iterate(v, u, make_commands(rng, 0), params, flags)
         np.testing.assert_array_equal(state.nodes.data, init_graph(v, u).nodes.data)
         assert records == [] and state.step == 1
@@ -216,7 +216,7 @@ class TestIterate:
     def test_no_infer_forces_zero_steps(self, rng, params):
         v = constant(rng.normal(size=(D, 4)))
         u = constant(rng.normal(size=(D, 1)))
-        flags = ModeFlags(no_infer=True, k_neighbors=2, steps=3)
+        flags = RunConfig(ablations=["no_infer"], k_neighbors=2, steps=3)
         state, _ = iterate(v, u, make_commands(rng, 3), params, flags)
         assert state.step == 1
 
@@ -224,7 +224,7 @@ class TestIterate:
         v = constant(rng.normal(size=(D, 4)))
         u = constant(rng.normal(size=(D, 1)))
         commands = make_commands(rng, 1)
-        flags = ModeFlags(k_neighbors=2, steps=1)
+        flags = RunConfig(k_neighbors=2, steps=1)
         state, _ = iterate(v, u, commands, params, flags)
 
         manual = init_graph(v, u)
@@ -239,7 +239,7 @@ class TestIterate:
         v = constant(rng.normal(size=(D, 5)))
         u = constant(rng.normal(size=(D, 1)))
         commands = make_commands(rng, 2)
-        flags = ModeFlags(k_neighbors=2, steps=2)
+        flags = RunConfig(k_neighbors=2, steps=2)
         full, _ = iterate(v, u, commands, params, flags)
 
         half, _ = iterate(v, u, commands, params, flags, num_steps=1)
@@ -248,7 +248,7 @@ class TestIterate:
 
     def test_visual_block_fixed_across_steps(self, rng, params):
         v = rng.normal(size=(D, 5))
-        flags = ModeFlags(k_neighbors=2, steps=3)
+        flags = RunConfig(k_neighbors=2, steps=3)
         state, records = iterate(constant(v), constant(rng.normal(size=(D, 1))),
                                  make_commands(rng, 3), params, flags, record_trace=True)
         assert np.array_equal(state.nodes.data[:D], v)
@@ -259,7 +259,7 @@ class TestIterate:
         v = constant(rng.normal(size=(D, 5)))
         u = constant(rng.normal(size=(D, 1)))
         commands = make_commands(rng, 2)
-        flags = ModeFlags(k_neighbors=2, steps=2)
+        flags = RunConfig(k_neighbors=2, steps=2)
         _, base = iterate(v, u, commands, params, flags, record_trace=True)
         params.msg_node_proj.data = params.msg_node_proj.data + 0.05
         _, bumped = iterate(v, u, commands, params, flags, record_trace=True)
@@ -271,7 +271,7 @@ class TestIterate:
         v = constant(rng.normal(size=(D, n)))
         u = constant(rng.normal(size=(D, 1)))
         commands = make_commands(rng, 1)
-        flags = ModeFlags(k_neighbors=n, steps=1)
+        flags = RunConfig(k_neighbors=n, steps=1)
         _, records = iterate(v, u, commands, params, flags, record_trace=True)
 
         state = init_graph(v, u)
@@ -290,7 +290,7 @@ class TestIterate:
         u = constant(rng.normal(size=(D, 1)))
         q_sent = constant(rng.normal(size=(D, 1)))
         commands = make_commands(rng, 2)
-        flags = ModeFlags(k_neighbors=2, steps=2)
+        flags = RunConfig(k_neighbors=2, steps=2)
 
         def run(visual):
             state, records = iterate(constant(visual), u, commands, params, flags,
@@ -363,7 +363,7 @@ def test_graph_params_gradients(rng, params):
     u = Tensor(rng.normal(size=(D, 1)), requires_grad=True)
     q_sent = constant(rng.normal(size=(D, 1)))
     cmd_vecs = {t: Tensor(rng.normal(size=(DW, 1)), requires_grad=True) for t in (1, 2)}
-    flags = ModeFlags(k_neighbors=2, steps=2)
+    flags = RunConfig(k_neighbors=2, steps=2)
     weights = constant(rng.normal(size=(D, 1)))
 
     def commands(t):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from cag import tensor as T
-from cag.graph import ModeFlags
 from cag.model import (Model, ModelParams, build_vocab, encode_instance,
                        step_node_attention, top_attended)
 from conftest import tiny_run_config
@@ -61,7 +60,7 @@ class TestForward:
 class TestAblations:
     def test_no_u_ignores_history_parameters(self, setup):
         cfg, _, params, encoded = setup
-        model = Model(params, cfg, ModeFlags.from_config(cfg.with_ablations(["no_u"])))
+        model = Model(params, cfg.with_ablations(["no_u"]))
         before = model.forward(encoded[0]).logits.data.copy()
         params.hist_att_score.data = params.hist_att_score.data + 1.0
         after = model.forward(encoded[0]).logits.data
@@ -79,8 +78,7 @@ class TestAblations:
 
     def test_no_q_att_ignores_step_attention(self, setup):
         cfg, _, params, encoded = setup
-        flags = ModeFlags.from_config(cfg.with_ablations(["no_q_att"]))
-        model = Model(params, cfg, flags)
+        model = Model(params, cfg.with_ablations(["no_q_att"]))
         before = model.forward(encoded[0]).logits.data.copy()
         params.step_attention[0].score.data = params.step_attention[0].score.data + 1.0
         after = model.forward(encoded[0]).logits.data
@@ -94,21 +92,18 @@ class TestAblations:
 
     def test_no_q_att_trace_alpha_is_uniform(self, setup):
         cfg, _, params, encoded = setup
-        flags = ModeFlags.from_config(cfg.with_ablations(["no_q_att"]))
-        res = Model(params, cfg, flags).forward(encoded[0], want_trace=True)
+        res = Model(params, cfg.with_ablations(["no_q_att"])).forward(encoded[0], want_trace=True)
         m = len(encoded[0].question_ids)
         np.testing.assert_allclose(res.trace.steps[0].alpha_q, np.full(m, 1.0 / m))
 
     def test_no_infer_skips_all_steps(self, setup):
         cfg, _, params, encoded = setup
-        flags = ModeFlags.from_config(cfg.with_ablations(["no_infer"]))
-        res = Model(params, cfg, flags).forward(encoded[0], want_trace=True)
+        res = Model(params, cfg.with_ablations(["no_infer"])).forward(encoded[0], want_trace=True)
         assert res.trace.steps == []
 
     def test_no_g_att_averages_nodes(self, setup):
         cfg, _, params, encoded = setup
-        flags = ModeFlags.from_config(cfg.with_ablations(["no_g_att"]))
-        res = Model(params, cfg, flags).forward(encoded[0], want_trace=True)
+        res = Model(params, cfg.with_ablations(["no_g_att"])).forward(encoded[0], want_trace=True)
         n = encoded[0].features.shape[1]
         np.testing.assert_allclose(res.trace.alpha_g, np.full(n, 1.0 / n))
 
