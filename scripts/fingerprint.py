@@ -7,7 +7,8 @@ Usage: python3 scripts/fingerprint.py
 Runs the CLI in a fresh temporary directory on eight fixed-seed
 configurations (the benchmark's three workload shapes, then the no_u,
 no_infer, no_q_att and no_g_att ablations and the dualq variant on the
-first shape) and prints one ``sha256  path`` line per artifact: each corpus
+first shape), traces the first run once more under the eval-time no_u
+ablation, and prints one ``sha256  path`` line per artifact: each corpus
 file, and each run's metrics.jsonl, best.ckpt, val eval report and trace
 JSON. Paths are relative to the temporary directory, so the corpus path
 recorded in each checkpoint is the same on every run. Two checkouts with
@@ -76,6 +77,9 @@ def produce() -> None:
         Path(f"runs/{run}/eval_val.json").write_text(cag("eval", "--ckpt", ckpt, "--split", "val"))
         dialog = load_split(corpus_dir, "val")[0].dialog_id
         cag("trace", "--ckpt", ckpt, "--dialog", str(dialog), "--out", f"runs/{run}/trace.json")
+    dialog = load_split("corpus/learn", "val")[0].dialog_id
+    cag("trace", "--ckpt", "runs/learn/best.ckpt", "--dialog", str(dialog), "--ablate", "no_u",
+        "--out", "runs/learn/trace_ablate_no_u.json")
 
 
 def fingerprint() -> list[str]:

@@ -21,9 +21,10 @@ from .checkpoint import (Checkpoint, CheckpointError, build_model,
                          load_checkpoint, save_checkpoint)
 from .config import RunConfig
 from .decoder import rank_of
-from .model import encode_instance, step_node_attention, top_attended
+from .graph import graph_attention
+from .model import encode_instance, top_attended
 from .synthdial import (SPLIT_ORDER, CorpusManifest, generate_corpus,
-                        load_manifest, load_split, save_corpus)
+                        load_split, save_corpus)
 from .training import evaluate, train
 
 log = logging.getLogger("cag")
@@ -53,7 +54,11 @@ def cmd_gen(args) -> int:
 def _resolve_seed(cfg: RunConfig) -> RunConfig:
     env = os.environ.get("CAG_SEED")
     if env is not None:
-        cfg = dataclasses.replace(cfg, seed=int(env))
+        try:
+            seed = int(env)
+        except ValueError:
+            raise CliError(f"CAG_SEED must be an integer, got {env!r}") from None
+        cfg = dataclasses.replace(cfg, seed=seed)
         log.info("CAG_SEED=%s overrides config seed", env)
     return cfg
 
@@ -139,8 +144,9 @@ def build_trace_doc(model, enc, result) -> dict:
         if rec.neighbors.shape != (n, k):
             raise ValueError(f"trace step {rec.step}: neighbor lists shaped "
                              f"{rec.neighbors.shape}, expected ({n}, {k})")
-        node_att = step_node_attention(rec.nodes_after, result.q_sentence,
-                                       model.params.graph)
+        _, alpha = graph_attention(T.constant(rec.nodes_after),
+                                   T.constant(result.q_sentence), model.params.graph)
+        node_att = alpha.data.reshape(-1)
         steps.append({
             "t": rec.step,
             "alpha_q": _simplex(f"alpha_q[{rec.step}]", rec.alpha_q),
@@ -155,7 +161,8 @@ def build_trace_doc(model, enc, result) -> dict:
     doc = {
         "dialog_id": enc.dialog_id,
         "steps": steps,
-        "alpha_h": _simplex("alpha_h", result.trace.alpha_h),
+        "alpha_h": (None if result.trace.alpha_h is None
+                    else _simplex("alpha_h", result.trace.alpha_h)),
         "alpha_g": _simplex("alpha_g", result.trace.alpha_g),
         "logits": [float(v) for v in logits],
         "predicted_rank": rank_of(logits, enc.gt),
@@ -187,7 +194,7 @@ def cmd_trace(args) -> int:
     enc = encode_instance(inst, ckpt.vocab)
     with T.no_grad():
         result = model.forward(enc, want_trace=True)
-    doc = build_trace_doc(model, enc, result)
+        doc = build_trace_doc(model, enc, result)
     with open(args.out, "w") as fh:
         fh.write(json.dumps(doc, sort_keys=True) + "\n")
     print(f"wrote trace for dialog {args.dialog} to {args.out}")

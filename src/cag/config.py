@@ -1,4 +1,5 @@
-"""Run configuration: model dimensions, inference knobs, training recipe."""
+"""Run configuration: model dimensions, inference knobs, training recipe;
+and the checked JSON-record base that corpus manifests share."""
 
 from __future__ import annotations
 
@@ -22,11 +23,49 @@ _TYPE_CHECKS = {
     "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
     "str": lambda v: isinstance(v, str),
     "list[str]": lambda v: isinstance(v, list) and all(isinstance(a, str) for a in v),
+    "dict[str, int]": lambda v: isinstance(v, dict) and all(
+        isinstance(k, str) and _TYPE_CHECKS["int"](n) for k, n in v.items()),
 }
 
 
+class JsonRecord:
+    """Base of the dataclasses read from JSON files: construction checks
+    every field against its annotation, and loading refuses unknown keys."""
+
+    KIND = "record"  # names the record in error messages
+
+    def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not _TYPE_CHECKS[f.type](value):
+                raise ValueError(
+                    f"{self.KIND} field {f.name!r} must be {f.type}, got {value!r}")
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown {cls.KIND} fields: {sorted(unknown)}")
+        return cls(**data)
+
+    @classmethod
+    def from_file(cls, path):
+        """Invalid JSON, or a top-level value that is not an object, is a
+        ValueError naming ``path``."""
+        with open(path) as fh:
+            try:
+                data = json.load(fh)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: expected a JSON object, got {type(data).__name__}")
+        return cls.from_dict(data)
+
+
 @dataclass
-class RunConfig:
+class RunConfig(JsonRecord):
+    KIND = "config"
+
     # model dimensions
     d: int = 512
     d_w: int = 300
@@ -48,10 +87,7 @@ class RunConfig:
     out_dir: str = ""
 
     def __post_init__(self) -> None:
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if not _TYPE_CHECKS[f.type](value):
-                raise ValueError(f"config field {f.name!r} must be {f.type}, got {value!r}")
+        super().__post_init__()
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         for a in self.ablations:
@@ -81,19 +117,6 @@ class RunConfig:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**data)
-
-    @classmethod
-    def from_file(cls, path) -> "RunConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

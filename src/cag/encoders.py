@@ -113,13 +113,9 @@ class EncodedQuestion:
     valid: np.ndarray   # (m,) bool
 
 
-@dataclass
-class EncodedHistory:
-    rounds: Tensor  # (d, num_rounds); column 0 is the caption encoding
-    count: int
-
-
 def encode_question(ids: Sequence[int], table: Tensor, params: LSTMParams) -> EncodedQuestion:
+    """Embed, LSTM-encode and summarize one token sequence; the sentence
+    path shared by the question, every history round and every candidate."""
     ids = list(ids)
     valid = np.array([i != Vocab.PAD for i in ids], dtype=bool)
     embs = embed_tokens(ids, table)
@@ -128,18 +124,13 @@ def encode_question(ids: Sequence[int], table: Tensor, params: LSTMParams) -> En
 
 
 def encode_history(round_ids: Sequence[Sequence[int]], table: Tensor,
-                   params: LSTMParams) -> EncodedHistory:
-    """Encode caption plus each ``q a`` round into one column per round."""
+                   params: LSTMParams) -> Tensor:
+    """(d, num_rounds) memory: one sentence vector per round, column 0 the
+    caption."""
     if not round_ids:
         raise ValueError("history must contain at least the caption round")
-    cols = []
-    for ids in round_ids:
-        ids = list(ids)
-        valid = np.array([i != Vocab.PAD for i in ids], dtype=bool)
-        hid = lstm_encode(embed_tokens(ids, table), params, valid)
-        cols.append(last_valid_column(hid, valid))
-    rounds = T.concat(cols, axis=1) if len(cols) > 1 else cols[0]
-    return EncodedHistory(rounds, len(cols))
+    cols = [encode_question(ids, table, params).sentence for ids in round_ids]
+    return T.concat(cols, axis=1) if len(cols) > 1 else cols[0]
 
 
 # ---------------------------------------------------------------------------
@@ -147,19 +138,19 @@ def encode_history(round_ids: Sequence[Sequence[int]], table: Tensor,
 # ---------------------------------------------------------------------------
 
 
-def history_attention(q_sent: Tensor, history: EncodedHistory, w_q: Tensor,
-                      w_h: Tensor, p_score: Tensor, drop: Drop = _identity
+def history_attention(q_sent: Tensor, memory: Tensor, w_q: Tensor,
+                      w_m: Tensor, p_score: Tensor, drop: Drop = _identity
                       ) -> tuple[Tensor, Tensor]:
-    """Question-conditioned convex combination of history round vectors.
+    """Question-conditioned convex combination of the columns of ``memory``.
 
-    z = tanh(w_q q_sent broadcast + w_h H); alpha = softmax(p_score z);
-    returns (u, alpha) with u = H alpha^T.
+    z = tanh(w_q q_sent broadcast + w_m M); alpha = softmax(p_score z);
+    returns (M alpha^T, alpha). The model's one attention head: it reads the
+    dialog history for the context u, and the graph readout
+    (:func:`cag.graph.graph_attention`) reuses it over the final nodes.
     """
-    ell = history.count
-    z = T.tanh(T.broadcast_cols(w_q @ q_sent, ell) + w_h @ history.rounds)
+    z = T.tanh(T.broadcast_cols(w_q @ q_sent, memory.data.shape[1]) + w_m @ memory)
     alpha = T.softmax(p_score @ drop(z), axis=1)
-    u = history.rounds @ T.transpose(alpha)
-    return u, alpha
+    return memory @ T.transpose(alpha), alpha
 
 
 @dataclass

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import RunConfig
-from .encoders import Drop, QuestionCommand, _identity
+from .encoders import Drop, QuestionCommand, _identity, history_attention
 from .tensor import Tensor
 
 
@@ -189,18 +189,14 @@ CommandFn = Callable[[int], QuestionCommand]
 def iterate(visual: Tensor, context: Tensor, command_fn: CommandFn,
             params: GraphParams, cfg: RunConfig,
             record_trace: bool = False,
-            start_state: GraphState | None = None,
             num_steps: int | None = None,
             ) -> tuple[GraphState, list[StepRecord]]:
     """Run the inference loop: command -> adjacency -> top-K -> messages ->
-    update, for ``cfg.effective_steps`` steps.
+    update, for ``cfg.effective_steps`` steps unless ``num_steps`` is given.
 
-    Zero steps returns the constructed graph untouched. ``start_state``
-    resumes from a saved state (step counting continues), which makes the
-    loop composable: T steps equal T-1 steps plus one manual step.
+    Zero steps returns the constructed graph untouched.
     """
-    state = start_state if start_state is not None else init_graph(
-        visual, context, no_context="no_u" in cfg.ablations)
+    state = init_graph(visual, context, no_context="no_u" in cfg.ablations)
     records: list[StepRecord] = []
     total = cfg.effective_steps if num_steps is None else num_steps
     for _ in range(total):
@@ -233,18 +229,17 @@ def iterate(visual: Tensor, context: Tensor, command_fn: CommandFn,
 def graph_attention(nodes: Tensor, q_sent: Tensor, params: GraphParams,
                     average_pool: bool = False, drop: Drop = _identity
                     ) -> tuple[Tensor, Tensor]:
-    """Question-conditioned attention over final nodes -> (2d, 1) embedding.
+    """Question-conditioned attention over final nodes -> (2d, 1) embedding:
+    the history-attention head with the graph's own weights.
 
     ``average_pool`` (the no-graph-attention ablation) replaces the learned
     weights with a uniform 1/n combination.
     """
+    if not average_pool:
+        return history_attention(q_sent, nodes, params.att_q_proj,
+                                 params.att_node_proj, params.att_score, drop)
     n = nodes.data.shape[1]
-    if average_pool:
-        alpha = T.constant(np.full((1, n), 1.0 / n))
-    else:
-        z = T.tanh(T.broadcast_cols(params.att_q_proj @ q_sent, n)
-                   + params.att_node_proj @ nodes)
-        alpha = T.softmax(params.att_score @ drop(z), axis=1)
+    alpha = T.constant(np.full((1, n), 1.0 / n))
     return nodes @ T.transpose(alpha), alpha
 
 

@@ -186,16 +186,9 @@ class Model:
 
         question = encode_question(enc.question_ids, p.embedding, p.question_lstm)
 
-        alpha_h = None
         if "no_u" in cfg.ablations:
-            # history only enters through u; skip the encoder unless tracing
-            context = T.constant(np.zeros((cfg.d, 1)))
-            if want_trace:
-                history = encode_history([enc.caption_ids] + enc.round_ids,
-                                         p.embedding, p.history_lstm)
-                _, alpha_h = history_attention(
-                    question.sentence, history, p.hist_att_q, p.hist_att_mem,
-                    p.hist_att_score)
+            # history only enters through u, so no_u skips its encoder
+            context, alpha_h = T.constant(np.zeros((cfg.d, 1))), None
         else:
             history = encode_history([enc.caption_ids] + enc.round_ids,
                                      p.embedding, p.history_lstm)
@@ -226,7 +219,7 @@ class Model:
             if candidate_cache is not None and ids in candidate_cache:
                 cols.append(T.constant(candidate_cache[ids]))
                 continue
-            hid = encode_history([list(ids)], p.embedding, p.history_lstm).rounds
+            hid = encode_history([list(ids)], p.embedding, p.history_lstm)
             cols.append(hid)
             if candidate_cache is not None:
                 candidate_cache[ids] = hid.data.copy()
@@ -245,17 +238,6 @@ class Model:
             fused_out = fused.data.copy()
         return ForwardResult(logits=logits, trace=trace, q_sentence=q_sent,
                              fused=fused_out)
-
-
-def step_node_attention(nodes: np.ndarray, q_sentence: np.ndarray,
-                        graph_params: GraphParams) -> np.ndarray:
-    """Diagnostic: the graph-attention head applied to an intermediate node
-    matrix (trace export only; the model itself attends once, at the end)."""
-    z = np.tanh(graph_params.att_q_proj.data @ q_sentence
-                + graph_params.att_node_proj.data @ nodes)
-    s = (graph_params.att_score.data @ z).reshape(-1)
-    e = np.exp(s - s.max())
-    return e / e.sum()
 
 
 def top_attended(alpha: np.ndarray, k: int = 2) -> list[int]:

@@ -18,6 +18,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .config import JsonRecord
+
 CATEGORIES = ("person", "dog", "cat", "car", "tree", "ball")
 COLORS = ("red", "blue", "green", "yellow", "black", "white")
 SIZES = ("small", "big")
@@ -460,7 +462,9 @@ def generate_dialog(scene: Scene, rng: np.random.Generator, rounds: int,
 
 
 @dataclass
-class CorpusManifest:
+class CorpusManifest(JsonRecord):
+    KIND = "manifest"
+
     seed: int = 1
     splits: dict[str, int] = field(default_factory=lambda: {"train": 500, "val": 100, "test": 100})
     template_version: int = 1
@@ -473,6 +477,7 @@ class CorpusManifest:
     sizes: list[str] = field(default_factory=lambda: list(SIZES))
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.template_version != 1:
             raise ValueError(f"unsupported template version {self.template_version}")
         if (tuple(self.categories), tuple(self.colors), tuple(self.sizes)) != (
@@ -484,11 +489,6 @@ class CorpusManifest:
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_file(cls, path) -> "CorpusManifest":
-        with open(path) as fh:
-            return cls(**json.load(fh))
 
 
 SPLIT_ORDER = ("train", "val", "test")

@@ -126,6 +126,18 @@ class TestTrainCommand:
                      "--out", str(out_direct)]) == 0
         assert file_hash(out_env / "metrics.jsonl") == file_hash(out_direct / "metrics.jsonl")
 
+    def test_cag_seed_must_be_an_integer(self, tmp_path, corpus_dir, capsys, monkeypatch):
+        cfg_path = write_config(tmp_path / "c.json", tiny_run_config(epochs=1))
+        monkeypatch.setenv("CAG_SEED", "abc")
+        rc = main(["train", "--config", cfg_path, "--corpus", str(corpus_dir),
+                   "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert [l for l in err.splitlines() if l.startswith("error:")] == [
+            "error: CAG_SEED must be an integer, got 'abc'"]
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
     def test_dim_mismatch_rejected(self, tmp_path, corpus_dir, capsys):
         cfg_path = write_config(tmp_path / "c.json", tiny_run_config(d_v=9))
         rc = main(["train", "--config", cfg_path, "--corpus", str(corpus_dir),
@@ -174,6 +186,39 @@ class TestTrainCommand:
         assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command,text,expected", [
+    ("train", "5", "{path}: expected a JSON object, got int"),
+    ("gen", "5", "{path}: expected a JSON object, got int"),
+    ("train", '{"d": 64,\n', "{path}: Expecting property name"),
+    ("gen", '{"seed": 1,\n', "{path}: Expecting property name"),
+    ("gen", "[1, 2]", "{path}: expected a JSON object, got list"),
+    ("gen", '{"bogus": 2}', "unknown manifest fields: ['bogus']"),
+    ("gen", '{"rounds": "4"}', "manifest field 'rounds' must be int, got '4'"),
+    ("gen", '{"splits": {"train": 2.5}}',
+     "manifest field 'splits' must be dict[str, int], got {'train': 2.5}"),
+], ids=["config-not-object", "manifest-not-object", "config-truncated",
+        "manifest-truncated", "manifest-list", "manifest-unknown-field",
+        "manifest-str-rounds", "manifest-float-split"])
+def test_malformed_input_file_rejected(tmp_path, corpus_dir, capsys, command, text,
+                                       expected):
+    # file-level faults name the file; field-level faults name the field
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ["train", "--config", str(path), "--corpus", str(corpus_dir)]
+    else:
+        argv = ["gen", "--manifest", str(path)]
+    rc = main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    errors = [l for l in err.splitlines() if l.startswith("error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith("error: " + expected.replace("{path}", str(path)))
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 class TestEvalCommand:
     def test_report_fields_and_determinism(self, trained, capsys):
         out, _ = trained
@@ -201,6 +246,7 @@ class TestEvalCommand:
         assert a["logits"] != b["logits"]
         n = len(tiny_corpus["val"][0].scene.objects)
         assert b["alpha_g"] == [1.0 / n] * n
+        assert b["alpha_h"] is None
         # no_infer reaches the step count the trace export checks against
         no_infer = tmp_path / "no_infer.json"
         assert main(["trace", "--ckpt", str(out / "best.ckpt"),

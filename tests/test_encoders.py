@@ -3,7 +3,6 @@ import pytest
 
 from cag import tensor as T
 from cag.encoders import (
-    EncodedHistory,
     LSTMParams,
     StepAttentionParams,
     Vocab,
@@ -256,17 +255,17 @@ class TestHistoryAttention:
         rng = np.random.default_rng(5)
         d = 4
         w_q, w_h, p_s = self._params(rng, d)
-        hist = EncodedHistory(constant(rng.normal(size=(d, 1))), 1)
+        hist = constant(rng.normal(size=(d, 1)))
         u, alpha = history_attention(constant(rng.normal(size=(d, 1))), hist, w_q, w_h, p_s)
         np.testing.assert_allclose(alpha.data, [[1.0]])
-        np.testing.assert_allclose(u.data, hist.rounds.data)
+        np.testing.assert_allclose(u.data, hist.data)
 
     def test_identical_columns_give_that_column(self):
         rng = np.random.default_rng(6)
         d = 4
         w_q, w_h, p_s = self._params(rng, d)
         col = rng.normal(size=(d, 1))
-        hist = EncodedHistory(constant(np.repeat(col, 3, axis=1)), 3)
+        hist = constant(np.repeat(col, 3, axis=1))
         u, _ = history_attention(constant(rng.normal(size=(d, 1))), hist, w_q, w_h, p_s)
         np.testing.assert_allclose(u.data, col, rtol=1e-12)
 
@@ -276,7 +275,7 @@ class TestHistoryAttention:
         w_q, w_h, p_s = self._params(rng, d)
         q = rng.normal(size=(d, 1))
         H = rng.normal(size=(d, 2))
-        u, alpha = history_attention(constant(q), EncodedHistory(constant(H), 2), w_q, w_h, p_s)
+        u, alpha = history_attention(constant(q), constant(H), w_q, w_h, p_s)
 
         z = np.tanh(w_q.data @ q @ np.ones((1, 2)) + w_h.data @ H)
         scores = p_s.data @ z
@@ -290,7 +289,7 @@ class TestHistoryAttention:
         d = 5
         w_q, w_h, p_s = self._params(rng, d)
         for ell in (1, 2, 6):
-            hist = EncodedHistory(constant(rng.normal(size=(d, ell))), ell)
+            hist = constant(rng.normal(size=(d, ell)))
             _, alpha = history_attention(constant(rng.normal(size=(d, 1))), hist, w_q, w_h, p_s)
             assert alpha.data.sum() == pytest.approx(1.0, abs=1e-12)
             assert (alpha.data >= 0).all()
@@ -375,7 +374,7 @@ class TestEncodeHistory:
         table = Tensor(rng.uniform(-0.08, 0.08, size=(10, 3)), requires_grad=True)
         lstm = LSTMParams.init(3, 4, rng)
         hist = encode_history([[2, 3]], table, lstm)
-        assert hist.count == 1 and hist.rounds.data.shape == (4, 1)
+        assert hist.data.shape == (4, 1)
         with pytest.raises(ValueError):
             encode_history([], table, lstm)
 
@@ -388,5 +387,5 @@ class TestEncodeHistory:
         hid = lstm_encode(embed_tokens(ids, table), lstm,
                           np.array([True, True, False]))
         np.testing.assert_array_equal(
-            hist.rounds.data[:, 0], last_valid_column(hid, np.array([True, True, False])).data[:, 0]
+            hist.data[:, 0], last_valid_column(hid, np.array([True, True, False])).data[:, 0]
         )

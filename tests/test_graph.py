@@ -235,17 +235,6 @@ class TestIterate:
         manual = update_nodes(manual, messages, params)
         assert np.array_equal(state.nodes.data, manual.nodes.data)
 
-    def test_two_steps_equal_one_step_plus_resume(self, rng, params):
-        v = constant(rng.normal(size=(D, 5)))
-        u = constant(rng.normal(size=(D, 1)))
-        commands = make_commands(rng, 2)
-        flags = RunConfig(k_neighbors=2, steps=2)
-        full, _ = iterate(v, u, commands, params, flags)
-
-        half, _ = iterate(v, u, commands, params, flags, num_steps=1)
-        resumed, _ = iterate(v, u, commands, params, flags, start_state=half, num_steps=1)
-        assert np.array_equal(full.nodes.data, resumed.nodes.data)
-
     def test_visual_block_fixed_across_steps(self, rng, params):
         v = rng.normal(size=(D, 5))
         flags = RunConfig(k_neighbors=2, steps=3)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from cag import tensor as T
+from cag.graph import graph_attention
 from cag.model import (Model, ModelParams, build_vocab, encode_instance,
-                       step_node_attention, top_attended)
+                       top_attended)
 from conftest import tiny_run_config
 
 
@@ -174,12 +175,14 @@ class TestEncodeInstance:
 
 
 class TestTraceHelpers:
-    def test_step_node_attention_is_simplex(self, setup):
+    def test_last_step_readout_equals_alpha_g(self, setup):
+        # the trace re-applies the readout head to each step's nodes; at the
+        # last step that is the head the model itself read out with
         cfg, _, params, encoded = setup
         res = Model(params, cfg).forward(encoded[0], want_trace=True)
-        alpha = step_node_attention(res.trace.steps[0].nodes_after,
-                                    res.q_sentence, params.graph)
-        assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
+        _, alpha = graph_attention(T.constant(res.trace.steps[-1].nodes_after),
+                                   T.constant(res.q_sentence), params.graph)
+        assert np.array_equal(alpha.data.reshape(-1), res.trace.alpha_g)
 
     def test_top_attended_orders_descending_with_low_index_ties(self):
         assert top_attended(np.array([0.1, 0.5, 0.4]), 2) == [1, 2]
