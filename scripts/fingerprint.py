@@ -10,9 +10,12 @@ no_infer, no_q_att and no_g_att ablations and the dualq variant on the
 first shape), traces the first run once more under the eval-time no_u
 ablation, and prints one ``sha256  path`` line per artifact: each corpus
 file, and each run's metrics.jsonl, best.ckpt, val eval report and trace
-JSON. Paths are relative to the temporary directory, so the corpus path
-recorded in each checkpoint is the same on every run. Two checkouts with
-identical numerics print identical output.
+JSON. Each checkpoint also gets a ``sha256  runs/<run>/best.ckpt#params``
+line: the hash of its parameter arrays alone (name, shape and bytes, in
+name order), so a change to the container format that keeps the weights
+shows identical ``#params`` lines. Paths are relative to the temporary
+directory, so the corpus path recorded in each checkpoint is the same on
+every run. Two checkouts with identical numerics print identical output.
 """
 
 import contextlib
@@ -26,6 +29,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from cag.checkpoint import load_checkpoint  # noqa: E402
 from cag.cli import main  # noqa: E402
 from cag.config import RunConfig  # noqa: E402
 from cag.synthdial import CorpusManifest, load_split  # noqa: E402
@@ -82,11 +86,22 @@ def produce() -> None:
         "--out", "runs/learn/trace_ablate_no_u.json")
 
 
+def params_digest(ckpt_path: Path) -> str:
+    h = hashlib.sha256()
+    for name, data in sorted(load_checkpoint(ckpt_path).params_state.items()):
+        h.update(name.encode())
+        h.update(repr(data.shape).encode())
+        h.update(data.tobytes())
+    return h.hexdigest()
+
+
 def fingerprint() -> list[str]:
     lines = []
     for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
         if path.parts[0] in ("corpus", "runs"):
             lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.as_posix()}")
+            if path.name == "best.ckpt":
+                lines.append(f"{params_digest(path)}  {path.as_posix()}#params")
     return lines
 
 

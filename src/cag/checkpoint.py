@@ -22,7 +22,7 @@ from .encoders import Vocab
 from .model import Model, ModelParams
 
 MAGIC = b"CAGCKPT\x00"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CheckpointError(RuntimeError):
@@ -122,11 +122,19 @@ def load_checkpoint(path) -> Checkpoint:
     if meta.get("version") != version:
         raise CheckpointError(f"checkpoint {path}: metadata field version disagrees "
                               f"with container header")
-    config = RunConfig.from_dict(meta["config"])
+    try:
+        config = RunConfig.from_dict(meta["config"])
+        vocab = Vocab(meta["vocab"])
+        optim_meta = meta["optim"]
+        if optim_meta is not None:
+            optim_meta = {k: optim_meta[k] for k in ("base_lr", "step_count", "epoch")}
+    except KeyError as exc:
+        raise CheckpointError(f"checkpoint {path}: metadata lacks field {exc}") from exc
+    except (ValueError, TypeError) as exc:
+        raise CheckpointError(f"checkpoint {path}: {exc}") from exc
     if config.config_hash() != meta.get("config_hash"):
         raise CheckpointError(
             f"checkpoint {path}: config hash mismatch (stored config was altered)")
-    vocab = Vocab(meta["vocab"])
 
     (count,) = r.unpack("<I")
     params_state: dict[str, np.ndarray] = {}
@@ -150,10 +158,8 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"checkpoint {path}: unknown field {key}")
 
     optim = None
-    if meta["optim"] is not None:
-        optim = OptimState(base_lr=meta["optim"]["base_lr"], m=optim_m, v=optim_v,
-                           step_count=meta["optim"]["step_count"],
-                           epoch=meta["optim"]["epoch"])
+    if optim_meta is not None:
+        optim = OptimState(m=optim_m, v=optim_v, **optim_meta)
     return Checkpoint(params_state, optim, vocab, config)
 
 

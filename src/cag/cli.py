@@ -23,8 +23,8 @@ from .config import RunConfig
 from .decoder import rank_of
 from .graph import graph_attention
 from .model import encode_instance, top_attended
-from .synthdial import (SPLIT_ORDER, CorpusManifest, generate_corpus,
-                        load_split, save_corpus)
+from .synthdial import (SPLIT_ORDER, CorpusManifest, GenerationError,
+                        generate_corpus, load_split, save_corpus)
 from .training import evaluate, train
 
 log = logging.getLogger("cag")
@@ -66,9 +66,8 @@ def _resolve_seed(cfg: RunConfig) -> RunConfig:
 def cmd_train(args) -> int:
     cfg = RunConfig.from_file(args.config)
     cfg = _resolve_seed(cfg)
-    # the corpus location is part of the run's identity (eval finds splits
-    # through it); the output directory is not
-
+    # the corpus location is part of the run's identity: eval finds splits
+    # through it
     cfg = dataclasses.replace(cfg, corpus_dir=str(args.corpus))
 
     train_set = load_split(args.corpus, "train")
@@ -193,7 +192,7 @@ def cmd_trace(args) -> int:
     _check_corpus_dims(ckpt, [inst])
     enc = encode_instance(inst, ckpt.vocab)
     with T.no_grad():
-        result = model.forward(enc, want_trace=True)
+        result = model.forward(enc)
         doc = build_trace_doc(model, enc, result)
     with open(args.out, "w") as fh:
         fh.write(json.dumps(doc, sort_keys=True) + "\n")
@@ -244,8 +243,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (FileExistsError, FileNotFoundError, ValueError, CheckpointError,
-            CliError) as exc:
+    except (OSError, ValueError, GenerationError, CheckpointError, CliError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -29,8 +29,9 @@ _TYPE_CHECKS = {
 
 
 class JsonRecord:
-    """Base of the dataclasses read from JSON files: construction checks
-    every field against its annotation, and loading refuses unknown keys."""
+    """Base of the dataclasses read from and written to JSON files:
+    construction checks every field against its annotation, and loading
+    refuses unknown keys."""
 
     KIND = "record"  # names the record in error messages
 
@@ -40,6 +41,12 @@ class JsonRecord:
             if not _TYPE_CHECKS[f.type](value):
                 raise ValueError(
                     f"{self.KIND} field {f.name!r} must be {f.type}, got {value!r}")
+
+    def to_dict(self) -> dict:
+        return dataclasses.asdict(self)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     @classmethod
     def from_dict(cls, data: dict):
@@ -82,9 +89,8 @@ class RunConfig(JsonRecord):
     seed: int = 1
     vocab_min_count: int = 1
     accum_rounds: int = 1
-    # paths (resolved by the CLI; recorded so eval can find the corpus)
+    # resolved by the CLI; recorded so eval can find the corpus
     corpus_dir: str = ""
-    out_dir: str = ""
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -111,12 +117,6 @@ class RunConfig(JsonRecord):
     def with_ablations(self, extra: list[str]) -> "RunConfig":
         merged = sorted(set(self.ablations) | set(extra))
         return dataclasses.replace(self, ablations=merged)
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

@@ -12,7 +12,7 @@ neighbor choice itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -76,7 +76,12 @@ class GraphState:
 
 @dataclass
 class StepRecord:
-    """Numpy snapshot of one inference step, for trace export."""
+    """One inference step's arrays, for trace export.
+
+    These are the arrays the step computed, not copies. That is safe
+    because nothing writes an intermediate array in place: the optimizer
+    writes only parameter arrays, and no record holds one.
+    """
 
     step: int
     alpha_q: np.ndarray
@@ -89,9 +94,9 @@ class StepRecord:
 
 @dataclass
 class AttentionTrace:
-    steps: list[StepRecord] = field(default_factory=list)
-    alpha_h: np.ndarray | None = None
-    alpha_g: np.ndarray | None = None
+    steps: list[StepRecord]
+    alpha_h: np.ndarray | None  # None under no_u: no history attention
+    alpha_g: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -188,36 +193,31 @@ CommandFn = Callable[[int], QuestionCommand]
 
 def iterate(visual: Tensor, context: Tensor, command_fn: CommandFn,
             params: GraphParams, cfg: RunConfig,
-            record_trace: bool = False,
-            num_steps: int | None = None,
             ) -> tuple[GraphState, list[StepRecord]]:
     """Run the inference loop: command -> adjacency -> top-K -> messages ->
-    update, for ``cfg.effective_steps`` steps unless ``num_steps`` is given.
+    update, for ``cfg.effective_steps`` steps, recording each step.
 
     Zero steps returns the constructed graph untouched.
     """
     state = init_graph(visual, context, no_context="no_u" in cfg.ablations)
     records: list[StepRecord] = []
-    total = cfg.effective_steps if num_steps is None else num_steps
-    for _ in range(total):
+    for _ in range(cfg.effective_steps):
         t = state.step
         cmd = command_fn(t)
         adj = adjacency(state.nodes, cmd.vector, params, cfg.variant)
         neighbors = select_neighbors(adj.data, cfg.k_neighbors)
         routing, weights, messages = message_passing(
             state.nodes, adj, neighbors, cmd.vector, params)
-        nxt = update_nodes(state, messages, params)
-        if record_trace:
-            records.append(StepRecord(
-                step=t,
-                alpha_q=cmd.alpha.data.reshape(-1).copy(),
-                adjacency=adj.data.copy(),
-                neighbors=neighbors.copy(),
-                weights=weights.copy(),
-                messages=messages.data.copy(),
-                nodes_after=nxt.nodes.data.copy(),
-            ))
-        state = nxt
+        state = update_nodes(state, messages, params)
+        records.append(StepRecord(
+            step=t,
+            alpha_q=cmd.alpha.data.reshape(-1),
+            adjacency=adj.data,
+            neighbors=neighbors,
+            weights=weights,
+            messages=messages.data,
+            nodes_after=state.nodes.data,
+        ))
     return state, records
 
 

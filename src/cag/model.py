@@ -3,7 +3,7 @@ pass from raw object features and token ids to candidate logits."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -150,9 +150,9 @@ def build_vocab(instances: Sequence[DialogInstance], min_count: int = 1) -> Voca
 @dataclass
 class ForwardResult:
     logits: Tensor                    # (1, C)
-    trace: AttentionTrace | None = None
-    q_sentence: np.ndarray | None = None
-    fused: np.ndarray | None = None   # (d, 1) multimodal embedding (trace mode)
+    trace: AttentionTrace
+    q_sentence: np.ndarray            # (d, 1) question sentence vector
+    fused: np.ndarray                 # (d, 1) multimodal embedding
 
 
 class Model:
@@ -168,7 +168,6 @@ class Model:
 
     def forward(self, enc: EncodedInstance, training: bool = False,
                 drop_rng: np.random.Generator | None = None,
-                want_trace: bool = False,
                 candidate_cache: dict | None = None) -> ForwardResult:
         p, cfg = self.params, self.cfg
         keep = 1.0 - cfg.dropout
@@ -208,8 +207,7 @@ class Model:
                 return question_command(question, t, total_steps,
                                         p.step_attention[t - 1], drop)
 
-        state, records = iterate(visual, context, command_fn, p.graph, cfg,
-                                 record_trace=want_trace)
+        state, records = iterate(visual, context, command_fn, p.graph, cfg)
         graph_emb, alpha_g = graph_attention(state.nodes, question.sentence,
                                              p.graph, "no_g_att" in cfg.ablations, drop)
         fused = fuse(graph_emb, context, question.sentence, p.graph, drop)
@@ -226,18 +224,13 @@ class Model:
         candidates = T.concat(cols, axis=1) if len(cols) > 1 else cols[0]
         logits = score_candidates(fused, candidates)
 
-        trace = None
-        q_sent = fused_out = None
-        if want_trace:
-            trace = AttentionTrace(
-                steps=records,
-                alpha_h=alpha_h.data.reshape(-1).copy() if alpha_h is not None else None,
-                alpha_g=alpha_g.data.reshape(-1).copy(),
-            )
-            q_sent = question.sentence.data.copy()
-            fused_out = fused.data.copy()
-        return ForwardResult(logits=logits, trace=trace, q_sentence=q_sent,
-                             fused=fused_out)
+        trace = AttentionTrace(
+            steps=records,
+            alpha_h=alpha_h.data.reshape(-1) if alpha_h is not None else None,
+            alpha_g=alpha_g.data.reshape(-1),
+        )
+        return ForwardResult(logits=logits, trace=trace,
+                             q_sentence=question.sentence.data, fused=fused.data)
 
 
 def top_attended(alpha: np.ndarray, k: int = 2) -> list[int]:

@@ -467,28 +467,23 @@ class CorpusManifest(JsonRecord):
 
     seed: int = 1
     splits: dict[str, int] = field(default_factory=lambda: {"train": 500, "val": 100, "test": 100})
-    template_version: int = 1
     grid: int = 4
     n_objects: int = 6
     rounds: int = 4
     candidates: int = 10
-    categories: list[str] = field(default_factory=lambda: list(CATEGORIES))
-    colors: list[str] = field(default_factory=lambda: list(COLORS))
-    sizes: list[str] = field(default_factory=lambda: list(SIZES))
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.template_version != 1:
-            raise ValueError(f"unsupported template version {self.template_version}")
-        if (tuple(self.categories), tuple(self.colors), tuple(self.sizes)) != (
-                CATEGORIES, COLORS, SIZES):
-            raise ValueError("attribute vocabularies are fixed in template version 1")
         for name, count in self.splits.items():
             if name not in ("train", "val", "test") or count < 0:
                 raise ValueError(f"bad split {name}={count}")
-
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2) + "\n"
+        if not MIN_OBJECTS <= self.n_objects <= MAX_OBJECTS:
+            raise ValueError(f"manifest field 'n_objects' must be in "
+                             f"[{MIN_OBJECTS}, {MAX_OBJECTS}], got {self.n_objects}")
+        if self.grid < 1:
+            raise ValueError(f"manifest field 'grid' must be >= 1, got {self.grid}")
+        if self.seed < 0:
+            raise ValueError(f"manifest field 'seed' must be >= 0, got {self.seed}")
 
 
 SPLIT_ORDER = ("train", "val", "test")
@@ -600,10 +595,6 @@ def load_split(corpus_dir: str, split: str) -> list[DialogInstance]:
             except (ValueError, IndexError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return instances
-
-
-def load_manifest(corpus_dir: str) -> CorpusManifest:
-    return CorpusManifest.from_file(os.path.join(corpus_dir, "manifest.json"))
 
 
 def token_sentences(inst: DialogInstance) -> Iterable[list[str]]:

@@ -132,7 +132,7 @@ def test_criterion_03_permutation_equivariance():
             base_enc = type(enc)(enc.dialog_id, feats, enc.caption_ids,
                                  enc.round_ids, enc.question_ids,
                                  enc.candidate_ids, enc.gt)
-            base = model.forward(base_enc, want_trace=True)
+            base = model.forward(base_enc)
             if any(np.unique(r.adjacency).size != r.adjacency.size
                    for r in base.trace.steps):
                 continue  # needs all-distinct adjacency values
@@ -143,7 +143,7 @@ def test_criterion_03_permutation_equivariance():
             perm_enc = type(enc)(enc.dialog_id, feats[:, perm], enc.caption_ids,
                                  enc.round_ids, enc.question_ids,
                                  enc.candidate_ids, enc.gt)
-            other = model.forward(perm_enc, want_trace=True)
+            other = model.forward(perm_enc)
             for rb, rp in zip(base.trace.steps, other.trace.steps):
                 np.testing.assert_allclose(
                     rp.adjacency, rb.adjacency[np.ix_(perm, perm)], atol=1e-9)
@@ -189,7 +189,7 @@ def test_criterion_05_visual_immutability():
             feats = rng.normal(size=enc.features.shape)
             case = type(enc)(enc.dialog_id, feats, enc.caption_ids, enc.round_ids,
                              enc.question_ids, enc.candidate_ids, enc.gt)
-            res = model.forward(case, want_trace=True)
+            res = model.forward(case)
             expected = np.tanh(model.params.visual_proj.data @ feats
                                + model.params.visual_bias.data)
             for rec in res.trace.steps:
@@ -201,12 +201,12 @@ def test_criterion_06_parameter_regime():
         inst = tiny_preset_instance()
         model, enc = tiny_preset_model(inst)
         params = model.params
-        base = model.forward(enc, want_trace=True).trace.steps
+        base = model.forward(enc).trace.steps
         fields = ("alpha_q", "adjacency", "neighbors", "weights", "messages")
 
         # perturbing the step-2 word-attention score touches step 2 only
         params.step_attention[1].score.data += 1e-3
-        bumped = model.forward(enc, want_trace=True).trace.steps
+        bumped = model.forward(enc).trace.steps
         params.step_attention[1].score.data -= 1e-3
         for f in fields:
             assert np.array_equal(getattr(base[0], f), getattr(bumped[0], f)), (
@@ -216,7 +216,7 @@ def test_criterion_06_parameter_regime():
 
         # the shared message projection touches every step
         params.graph.msg_node_proj.data += 1e-3
-        shared = model.forward(enc, want_trace=True).trace.steps
+        shared = model.forward(enc).trace.steps
         params.graph.msg_node_proj.data -= 1e-3
         for t in range(2):
             assert not np.array_equal(base[t].messages, shared[t].messages), (
@@ -236,7 +236,8 @@ def test_criterion_07_compositionality():
 
         full, _ = iterate(visual, context, commands, params, flags)
 
-        half, _ = iterate(visual, context, commands, params, flags, num_steps=1)
+        half, _ = iterate(visual, context, commands, params,
+                          RunConfig(k_neighbors=2, steps=1))
         cmd = commands(2)
         adj = adjacency(half.nodes, cmd.vector, params)
         neighbors = select_neighbors(adj.data, 2)

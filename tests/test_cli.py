@@ -1,5 +1,6 @@
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -196,14 +197,29 @@ class TestTrainCommand:
     ("gen", '{"rounds": "4"}', "manifest field 'rounds' must be int, got '4'"),
     ("gen", '{"splits": {"train": 2.5}}',
      "manifest field 'splits' must be dict[str, int], got {'train': 2.5}"),
+    ("gen", '{"n_objects": 100}', "manifest field 'n_objects' must be in [3, 16], got 100"),
+    ("gen", '{"n_objects": 2}', "manifest field 'n_objects' must be in [3, 16], got 2"),
+    ("gen", '{"grid": 0}', "manifest field 'grid' must be >= 1, got 0"),
+    ("gen", '{"seed": -5}', "manifest field 'seed' must be >= 0, got -5"),
+    ("gen", '{"categories": ["dog"]}', "unknown manifest fields: ['categories']"),
+    # three objects cannot carry a ten-round pronoun chain for every dialog
+    ("gen", '{"n_objects": 3, "rounds": 10, "splits": {"train": 300}}',
+     "dialog 24: no unambiguous pronoun chain found"),
+    ("train", None, "[Errno 21] Is a directory: '{path}'"),
 ], ids=["config-not-object", "manifest-not-object", "config-truncated",
         "manifest-truncated", "manifest-list", "manifest-unknown-field",
-        "manifest-str-rounds", "manifest-float-split"])
+        "manifest-str-rounds", "manifest-float-split", "manifest-too-many-objects",
+        "manifest-too-few-objects", "manifest-zero-grid", "manifest-negative-seed",
+        "manifest-removed-field", "generation-fails", "config-is-directory"])
 def test_malformed_input_file_rejected(tmp_path, corpus_dir, capsys, command, text,
                                        expected):
-    # file-level faults name the file; field-level faults name the field
+    # file-level faults name the file; field-level faults name the field;
+    # text None makes the input path a directory
     path = tmp_path / "input.json"
-    path.write_text(text)
+    if text is None:
+        path.mkdir()
+    else:
+        path.write_text(text)
     out = tmp_path / "out"
     if command == "train":
         argv = ["train", "--config", str(path), "--corpus", str(corpus_dir)]
@@ -305,20 +321,49 @@ class TestCheckpointFile:
         with pytest.raises(CheckpointError, match="corrupt or truncated"):
             load_checkpoint(bad)
 
-    def test_version_checked(self, trained, tmp_path):
+    # version 1 is the format before RunConfig lost out_dir; retraining is
+    # its migration
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_version_checked(self, trained, tmp_path, version):
         out, _ = trained
         ckpt = load_checkpoint(out / "best.ckpt")
-        # rebuild the container with a bumped version field
+        # rebuild the container with another version field
         import cag.checkpoint as C
         orig = C.FORMAT_VERSION
-        C.FORMAT_VERSION = 99
+        C.FORMAT_VERSION = version
         try:
-            bad = tmp_path / "v99.ckpt"
+            bad = tmp_path / f"v{version}.ckpt"
             save_checkpoint(bad, ckpt.params_state, ckpt.optim, ckpt.vocab, ckpt.config)
         finally:
             C.FORMAT_VERSION = orig
-        with pytest.raises(CheckpointError, match="version 99"):
+        with pytest.raises(CheckpointError, match=rf"format version {version} "
+                                                  rf"unsupported \(expected {orig}\)"):
             load_checkpoint(bad)
+
+    @pytest.mark.parametrize("edit,expected", [
+        (lambda meta: meta["config"].update(out_dir=""), "unknown config fields: ['out_dir']"),
+        (lambda meta: meta.pop("config"), "metadata lacks field 'config'"),
+        (lambda meta: meta.pop("vocab"), "metadata lacks field 'vocab'"),
+        (lambda meta: meta.pop("optim"), "metadata lacks field 'optim'"),
+        (lambda meta: meta["optim"].pop("epoch"), "metadata lacks field 'epoch'"),
+    ], ids=["stored-out_dir", "no-config", "no-vocab", "no-optim", "no-optim-epoch"])
+    def test_bad_metadata_names_file(self, trained, tmp_path, edit, expected):
+        # rebuild a current-version container around edited metadata
+        import cag.checkpoint as C
+        out, _ = trained
+        body = (out / "best.ckpt").read_bytes()[:-32]
+        head = len(C.MAGIC) + 4
+        (meta_len,) = struct.unpack("<Q", body[head:head + 8])
+        meta = json.loads(body[head + 8:head + 8 + meta_len])
+        edit(meta)
+        meta_b = json.dumps(meta, sort_keys=True).encode()
+        body = (body[:head] + struct.pack("<Q", len(meta_b)) + meta_b
+                + body[head + 8 + meta_len:])
+        bad = tmp_path / "bad_meta.ckpt"
+        bad.write_bytes(body + hashlib.sha256(body).digest())
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(bad)
+        assert str(info.value) == f"checkpoint {bad}: {expected}"
 
     def test_tampered_config_hash_rejected(self, trained, tmp_path, monkeypatch):
         # write a container whose stored hash lies about the stored config

@@ -239,7 +239,7 @@ class TestIterate:
         v = rng.normal(size=(D, 5))
         flags = RunConfig(k_neighbors=2, steps=3)
         state, records = iterate(constant(v), constant(rng.normal(size=(D, 1))),
-                                 make_commands(rng, 3), params, flags, record_trace=True)
+                                 make_commands(rng, 3), params, flags)
         assert np.array_equal(state.nodes.data[:D], v)
         for rec in records:
             assert np.array_equal(rec.nodes_after[:D], v)
@@ -249,9 +249,9 @@ class TestIterate:
         u = constant(rng.normal(size=(D, 1)))
         commands = make_commands(rng, 2)
         flags = RunConfig(k_neighbors=2, steps=2)
-        _, base = iterate(v, u, commands, params, flags, record_trace=True)
+        _, base = iterate(v, u, commands, params, flags)
         params.msg_node_proj.data = params.msg_node_proj.data + 0.05
-        _, bumped = iterate(v, u, commands, params, flags, record_trace=True)
+        _, bumped = iterate(v, u, commands, params, flags)
         for t in range(2):
             assert not np.array_equal(base[t].messages, bumped[t].messages)
 
@@ -261,7 +261,7 @@ class TestIterate:
         u = constant(rng.normal(size=(D, 1)))
         commands = make_commands(rng, 1)
         flags = RunConfig(k_neighbors=n, steps=1)
-        _, records = iterate(v, u, commands, params, flags, record_trace=True)
+        _, records = iterate(v, u, commands, params, flags)
 
         state = init_graph(v, u)
         cmd = commands(1).vector.data
@@ -282,8 +282,7 @@ class TestIterate:
         flags = RunConfig(k_neighbors=2, steps=2)
 
         def run(visual):
-            state, records = iterate(constant(visual), u, commands, params, flags,
-                                     record_trace=True)
+            state, records = iterate(constant(visual), u, commands, params, flags)
             emb, _ = graph_attention(state.nodes, q_sent, params)
             fused = fuse(emb, u, q_sent, params)
             return records, fused.data

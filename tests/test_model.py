@@ -29,7 +29,7 @@ class TestForward:
     def test_trace_contents(self, setup):
         cfg, _, params, encoded = setup
         model = Model(params, cfg)
-        res = model.forward(encoded[0], want_trace=True)
+        res = model.forward(encoded[0])
         assert len(res.trace.steps) == cfg.steps
         n = encoded[0].features.shape[1]
         for rec in res.trace.steps:
@@ -93,18 +93,18 @@ class TestAblations:
 
     def test_no_q_att_trace_alpha_is_uniform(self, setup):
         cfg, _, params, encoded = setup
-        res = Model(params, cfg.with_ablations(["no_q_att"])).forward(encoded[0], want_trace=True)
+        res = Model(params, cfg.with_ablations(["no_q_att"])).forward(encoded[0])
         m = len(encoded[0].question_ids)
         np.testing.assert_allclose(res.trace.steps[0].alpha_q, np.full(m, 1.0 / m))
 
     def test_no_infer_skips_all_steps(self, setup):
         cfg, _, params, encoded = setup
-        res = Model(params, cfg.with_ablations(["no_infer"])).forward(encoded[0], want_trace=True)
+        res = Model(params, cfg.with_ablations(["no_infer"])).forward(encoded[0])
         assert res.trace.steps == []
 
     def test_no_g_att_averages_nodes(self, setup):
         cfg, _, params, encoded = setup
-        res = Model(params, cfg.with_ablations(["no_g_att"])).forward(encoded[0], want_trace=True)
+        res = Model(params, cfg.with_ablations(["no_g_att"])).forward(encoded[0])
         n = encoded[0].features.shape[1]
         np.testing.assert_allclose(res.trace.alpha_g, np.full(n, 1.0 / n))
 
@@ -179,7 +179,7 @@ class TestTraceHelpers:
         # the trace re-applies the readout head to each step's nodes; at the
         # last step that is the head the model itself read out with
         cfg, _, params, encoded = setup
-        res = Model(params, cfg).forward(encoded[0], want_trace=True)
+        res = Model(params, cfg).forward(encoded[0])
         _, alpha = graph_attention(T.constant(res.trace.steps[-1].nodes_after),
                                    T.constant(res.q_sentence), params.graph)
         assert np.array_equal(alpha.data.reshape(-1), res.trace.alpha_g)

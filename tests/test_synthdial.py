@@ -24,7 +24,6 @@ from cag.synthdial import (
     generate_scene,
     instance_from_dict,
     instance_to_dict,
-    load_manifest,
     load_split,
     oracle_answer,
     save_corpus,
@@ -258,7 +257,7 @@ class TestCorpus:
         loaded = load_split(tmp_path, "train")
         assert [instance_to_dict(i) for i in loaded] == [
             instance_to_dict(i) for i in corpus["train"]]
-        assert load_manifest(tmp_path).seed == 8
+        assert CorpusManifest.from_file(tmp_path / "manifest.json").seed == 8
 
     def test_oracle_consistency_over_whole_corpus(self):
         manifest = CorpusManifest(seed=9, splits={"train": 25, "val": 10, "test": 5})
