@@ -1,5 +1,5 @@
-"""Versioned checkpoint container: parameter tensors, Adam state, vocab,
-and the run config (with its hash) in one file.
+"""Versioned checkpoint container: parameter tensors, vocab, the run
+config (with its hash) and the lr-schedule scalars in one file.
 
 The container is a custom length-prefixed binary layout rather than an
 archive format: identical inputs produce identical bytes (no timestamps),
@@ -22,7 +22,7 @@ from .encoders import Vocab
 from .model import Model, ModelParams
 
 MAGIC = b"CAGCKPT\x00"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class CheckpointError(RuntimeError):
@@ -31,6 +31,10 @@ class CheckpointError(RuntimeError):
 
 @dataclass
 class Checkpoint:
+    """A loaded checkpoint. ``optim`` carries only the schedule scalars
+    (``base_lr``, ``step_count``, ``epoch``); its Adam moments are empty,
+    because the file does not store them."""
+
     params_state: dict[str, np.ndarray]
     optim: OptimState | None
     vocab: Vocab
@@ -77,21 +81,16 @@ def save_checkpoint(path, params_state: dict[str, np.ndarray],
             "epoch": optim.epoch,
         },
     }
-    arrays: list[tuple[str, np.ndarray]] = [
-        (f"param:{name}", data) for name, data in params_state.items()]
-    if optim is not None:
-        for name, m in optim.m.items():
-            arrays.append((f"adam_m:{name}", m))
-            arrays.append((f"adam_v:{name}", optim.v[name]))
-
     meta_b = json.dumps(meta, sort_keys=True).encode()
-    body = MAGIC + struct.pack("<I", FORMAT_VERSION)
-    body += struct.pack("<Q", len(meta_b)) + meta_b
-    body += struct.pack("<I", len(arrays))
-    for name, data in arrays:
-        body += _pack_array(name, data)
+    body = b"".join([
+        MAGIC, struct.pack("<I", FORMAT_VERSION),
+        struct.pack("<Q", len(meta_b)), meta_b,
+        struct.pack("<I", len(params_state)),
+        *(_pack_array(f"param:{name}", data) for name, data in params_state.items()),
+    ])
     with open(path, "wb") as fh:
-        fh.write(body + hashlib.sha256(body).digest())
+        fh.write(body)
+        fh.write(hashlib.sha256(body).digest())
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -138,8 +137,6 @@ def load_checkpoint(path) -> Checkpoint:
 
     (count,) = r.unpack("<I")
     params_state: dict[str, np.ndarray] = {}
-    optim_m: dict[str, np.ndarray] = {}
-    optim_v: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = r.unpack("<H")
         key = r.take(name_len).decode()
@@ -148,18 +145,11 @@ def load_checkpoint(path) -> Checkpoint:
         (data_len,) = r.unpack("<Q")
         data = np.frombuffer(r.take(data_len), dtype=np.float64).reshape(shape).copy()
         kind, _, name = key.partition(":")
-        if kind == "param":
-            params_state[name] = data
-        elif kind == "adam_m":
-            optim_m[name] = data
-        elif kind == "adam_v":
-            optim_v[name] = data
-        else:
+        if kind != "param":
             raise CheckpointError(f"checkpoint {path}: unknown field {key}")
+        params_state[name] = data
 
-    optim = None
-    if optim_meta is not None:
-        optim = OptimState(m=optim_m, v=optim_v, **optim_meta)
+    optim = None if optim_meta is None else OptimState(**optim_meta)
     return Checkpoint(params_state, optim, vocab, config)
 
 
@@ -176,11 +166,4 @@ def build_model(ckpt: Checkpoint, extra_ablations: list[str] | None = None) -> M
         raise CheckpointError(
             f"{exc} (checkpoint dims: d={cfg.d}, d_w={cfg.d_w}, d_v={cfg.d_v}, "
             f"steps={cfg.steps}, vocab={len(ckpt.vocab)})") from exc
-    if ckpt.optim is not None:
-        for name in params.state_dict():
-            for acc in (ckpt.optim.m, ckpt.optim.v):
-                if name in acc and acc[name].shape != ckpt.params_state[name].shape:
-                    raise CheckpointError(
-                        f"optimizer moment {name}: shape {acc[name].shape} does not "
-                        f"match parameter {ckpt.params_state[name].shape}")
     return Model(params, cfg)

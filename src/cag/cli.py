@@ -38,7 +38,12 @@ class CliError(RuntimeError):
 
 def cmd_gen(args) -> int:
     manifest = CorpusManifest.from_file(args.manifest)
-    corpus = generate_corpus(manifest)
+    try:
+        corpus = generate_corpus(manifest)
+    except GenerationError as exc:
+        raise GenerationError(
+            f"{args.manifest}: {exc} (n_objects={manifest.n_objects}, "
+            f"rounds={manifest.rounds})") from None
     save_corpus(corpus, manifest, args.out, force=args.force)
     kinds = Counter(inst.current.form.kind
                     for split in corpus.values() for inst in split)

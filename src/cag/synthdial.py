@@ -29,6 +29,7 @@ PLURALS = {"person": "people", "dog": "dogs", "cat": "cats",
 
 COUNT_CAP = 9  # counting answers stay single-token digits
 MIN_OBJECTS, MAX_OBJECTS = 3, 16
+MIN_ROUNDS, MAX_ROUNDS = 2, 10
 MAX_GEN_ATTEMPTS = 100
 
 FEATURE_DIM = len(CATEGORIES) + len(COLORS) + len(SIZES) + 2
@@ -425,8 +426,8 @@ def generate_dialog(scene: Scene, rng: np.random.Generator, rounds: int,
     ambiguous without history (at least two answers reachable over free
     pronoun bindings).
     """
-    if not (2 <= rounds <= 10):
-        raise ValueError(f"rounds must be in [2, 10], got {rounds}")
+    if not (MIN_ROUNDS <= rounds <= MAX_ROUNDS):
+        raise ValueError(f"rounds must be in [{MIN_ROUNDS}, {MAX_ROUNDS}], got {rounds}")
     for _ in range(MAX_GEN_ATTEMPTS):
         out: list[DialogRound] = [_establishing_round(scene, rng, need_subject=True)]
         for r in range(1, rounds - 1):
@@ -480,6 +481,12 @@ class CorpusManifest(JsonRecord):
         if not MIN_OBJECTS <= self.n_objects <= MAX_OBJECTS:
             raise ValueError(f"manifest field 'n_objects' must be in "
                              f"[{MIN_OBJECTS}, {MAX_OBJECTS}], got {self.n_objects}")
+        if not MIN_ROUNDS <= self.rounds <= MAX_ROUNDS:
+            raise ValueError(f"manifest field 'rounds' must be in "
+                             f"[{MIN_ROUNDS}, {MAX_ROUNDS}], got {self.rounds}")
+        if not 2 <= self.candidates <= MAX_CANDIDATES:
+            raise ValueError(f"manifest field 'candidates' must be in "
+                             f"[2, {MAX_CANDIDATES}], got {self.candidates}")
         if self.grid < 1:
             raise ValueError(f"manifest field 'grid' must be >= 1, got {self.grid}")
         if self.seed < 0:
@@ -516,8 +523,7 @@ def instance_to_dict(inst: DialogInstance) -> dict:
             "grid": inst.scene.grid,
             "objects": [
                 {"cat": o.category, "color": o.color, "size": o.size,
-                 "cell": list(o.cell),
-                 "feat": encode_object(o, inst.scene.grid).tolist()}
+                 "cell": list(o.cell)}
                 for o in inst.scene.objects
             ],
         },
@@ -528,10 +534,8 @@ def instance_to_dict(inst: DialogInstance) -> dict:
         "gt": inst.gt,
         "meta": {
             "pronoun": inst.current.pronoun,
-            "form": inst.current.form.to_dict(),
             "round_subjects": [list(r.subject_ids) for r in inst.rounds],
             "round_forms": [r.form.to_dict() for r in inst.rounds],
-            "round_answers": [r.answer for r in inst.rounds],
         },
     }
 
@@ -589,7 +593,7 @@ def load_split(corpus_dir: str, split: str) -> list[DialogInstance]:
             if not line.strip():
                 continue
             try:
-                instances.append(instance_from_dict(json.loads(line)))
+                instances.append(instance_from_dict(json.loads(line.rstrip("\n"))))
             except KeyError as exc:
                 raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
             except (ValueError, IndexError, TypeError) as exc:

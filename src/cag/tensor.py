@@ -71,17 +71,11 @@ class Tensor:
     def __add__(self, other: "Tensor") -> "Tensor":
         return add(self, other)
 
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
     def __mul__(self, other: "Tensor") -> "Tensor":
         return mul(self, other)
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         return matmul(self, other)
-
-    def __neg__(self) -> "Tensor":
-        return scale(self, -1.0)
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         return tensor_sum(self, axis=axis, keepdims=keepdims)
@@ -137,16 +131,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _accum(b, g)
 
     return _out(a.data + b.data, (a, b), bw)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape("sub", a, b)
-
-    def bw(g):
-        _accum(a, g)
-        _accum(b, -g)
-
-    return _out(a.data - b.data, (a, b), bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:

@@ -5,9 +5,8 @@ seed."""
 
 from __future__ import annotations
 
-import copy
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -46,7 +45,7 @@ class TrainResult:
     best_epoch: int | None = None
     best_mrr: float = float("-inf")
     best_params: dict[str, np.ndarray] | None = None
-    best_optim: OptimState | None = None
+    best_optim: OptimState | None = None  # schedule scalars; moments left empty
 
 
 def evaluate(model: Model, instances: Sequence[EncodedInstance],
@@ -94,7 +93,7 @@ def train(train_set: Sequence[DialogInstance], val_set: Sequence[DialogInstance]
     result = TrainResult()
     if cfg.epochs == 0:
         result.best_params = params.state_dict()
-        result.best_optim = copy.deepcopy(optim)
+        result.best_optim = replace(optim, m={}, v={})
         return model, optim, result, vocab
 
     accum = cfg.accum_rounds
@@ -126,7 +125,7 @@ def train(train_set: Sequence[DialogInstance], val_set: Sequence[DialogInstance]
                 result.best_mrr = report.mrr
                 result.best_epoch = epoch
                 result.best_params = params.state_dict()
-                result.best_optim = copy.deepcopy(optim)
+                result.best_optim = replace(optim, m={}, v={})
         row["lr"] = optim.effective_lr()
         result.log_rows.append(row)
         log.info("epoch %d: loss %.4f%s", epoch, row["loss"],
@@ -134,6 +133,6 @@ def train(train_set: Sequence[DialogInstance], val_set: Sequence[DialogInstance]
 
     if result.best_params is None:  # no validation split: final weights win
         result.best_params = params.state_dict()
-        result.best_optim = copy.deepcopy(optim)
+        result.best_optim = replace(optim, m={}, v={})
         result.best_epoch = cfg.epochs - 1
     return model, optim, result, vocab

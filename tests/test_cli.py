@@ -201,15 +201,21 @@ class TestTrainCommand:
     ("gen", '{"n_objects": 2}', "manifest field 'n_objects' must be in [3, 16], got 2"),
     ("gen", '{"grid": 0}', "manifest field 'grid' must be >= 1, got 0"),
     ("gen", '{"seed": -5}', "manifest field 'seed' must be >= 0, got -5"),
+    ("gen", '{"splits": {"train": 0, "val": 0, "test": 0}, "rounds": 50}',
+     "manifest field 'rounds' must be in [2, 10], got 50"),
+    ("gen", '{"splits": {"train": 0, "val": 0, "test": 0}, "candidates": 99}',
+     "manifest field 'candidates' must be in [2, 20], got 99"),
     ("gen", '{"categories": ["dog"]}', "unknown manifest fields: ['categories']"),
     # three objects cannot carry a ten-round pronoun chain for every dialog
     ("gen", '{"n_objects": 3, "rounds": 10, "splits": {"train": 300}}',
-     "dialog 24: no unambiguous pronoun chain found"),
+     "{path}: dialog 24: no unambiguous pronoun chain found in 100 attempts "
+     "(n_objects=3, rounds=10)"),
     ("train", None, "[Errno 21] Is a directory: '{path}'"),
 ], ids=["config-not-object", "manifest-not-object", "config-truncated",
         "manifest-truncated", "manifest-list", "manifest-unknown-field",
         "manifest-str-rounds", "manifest-float-split", "manifest-too-many-objects",
         "manifest-too-few-objects", "manifest-zero-grid", "manifest-negative-seed",
+        "manifest-too-many-rounds", "manifest-too-many-candidates",
         "manifest-removed-field", "generation-fails", "config-is-directory"])
 def test_malformed_input_file_rejected(tmp_path, corpus_dir, capsys, command, text,
                                        expected):
@@ -278,7 +284,8 @@ class TestEvalCommand:
         (lambda line: json.dumps({**json.loads(line), "gt": 9}), "gt 9 outside [0, 6)"),
         (lambda line: json.dumps({**json.loads(line), "gt": -1}), "gt -1 outside [0, 6)"),
         (lambda line: line[: len(line) // 2], "line 1 column"),
-    ], ids=["no_gt", "gt_too_large", "gt_negative", "truncated_json"])
+        (lambda line: line[: line.index(",") + 1], "line 1 column"),
+    ], ids=["no_gt", "gt_too_large", "gt_negative", "truncated_json", "cut_after_comma"])
     def test_malformed_corpus_line_named(self, trained, corpus_dir, tmp_path, capsys,
                                          mutate, expected):
         out, _ = trained
@@ -321,9 +328,9 @@ class TestCheckpointFile:
         with pytest.raises(CheckpointError, match="corrupt or truncated"):
             load_checkpoint(bad)
 
-    # version 1 is the format before RunConfig lost out_dir; retraining is
-    # its migration
-    @pytest.mark.parametrize("version", [1, 99])
+    # version 1 is the format before RunConfig lost out_dir, version 2 the
+    # one that still stored the Adam moments; retraining is their migration
+    @pytest.mark.parametrize("version", [1, 2, 99])
     def test_version_checked(self, trained, tmp_path, version):
         out, _ = trained
         ckpt = load_checkpoint(out / "best.ckpt")
@@ -396,12 +403,23 @@ class TestCheckpointFile:
         with pytest.raises(CheckpointError, match=r"d=24"):
             build_model(load_checkpoint(bad))
 
-    def test_optimizer_state_round_trips(self, trained):
+    def test_optimizer_state_round_trips(self, trained, tmp_path):
+        # the file holds one param: array per parameter and no Adam moments;
+        # the schedule scalars survive a save/load cycle
         out, _ = trained
         ckpt = load_checkpoint(out / "best.ckpt")
+        body = (out / "best.ckpt").read_bytes()
+        assert b"adam_" not in body
+        assert body.count(b"param:") == len(ckpt.params_state)
         assert ckpt.optim is not None
         assert ckpt.optim.step_count > 0
-        assert set(ckpt.optim.m) == set(ckpt.params_state)
+        assert ckpt.optim.m == {} and ckpt.optim.v == {}
+        ckpt.optim.epoch = 7
+        again = tmp_path / "again.ckpt"
+        save_checkpoint(again, ckpt.params_state, ckpt.optim, ckpt.vocab, ckpt.config)
+        back = load_checkpoint(again).optim
+        assert (back.base_lr, back.step_count, back.epoch) == (
+            ckpt.optim.base_lr, ckpt.optim.step_count, 7)
 
 
 class TestTraceCommand:

@@ -56,7 +56,6 @@ class TestHarness:
 # 1e-6 relative tolerance on random small tensors (double precision).
 PRIMITIVE_CASES = {
     "add": lambda a, b: T.add(a, b),
-    "sub": lambda a, b: T.sub(a, b),
     "mul": lambda a, b: T.mul(a, b),
     "scale": lambda a, b: T.scale(a, -1.7),
     "tanh": lambda a, b: T.tanh(a),

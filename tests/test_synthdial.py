@@ -236,11 +236,22 @@ class TestCorpus:
         inst = generate_corpus(manifest)["train"][0]
         doc = instance_to_dict(inst)
         assert set(doc) >= {"scene", "caption", "history", "question", "candidates", "gt"}
-        obj = doc["scene"]["objects"][0]
-        assert set(obj) == {"cat", "color", "size", "cell", "feat"}
-        assert len(obj["feat"]) == FEATURE_DIM
+        assert set(doc["scene"]["objects"][0]) == {"cat", "color", "size", "cell"}
+        assert set(doc["meta"]) == {"pronoun", "round_subjects", "round_forms"}
         assert all(len(pair) == 2 for pair in doc["history"])
         assert isinstance(doc["gt"], int)
+
+    def test_line_with_derived_fields_loads_the_same(self):
+        # corpora written before the derived copies were dropped still load
+        manifest = CorpusManifest(seed=6, splits={"train": 2, "val": 0, "test": 0})
+        for inst in generate_corpus(manifest)["train"]:
+            doc = instance_to_dict(inst)
+            old = json.loads(json.dumps(doc))
+            for obj, o in zip(old["scene"]["objects"], inst.scene.objects):
+                obj["feat"] = encode_object(o, inst.scene.grid).tolist()
+            old["meta"]["form"] = inst.current.form.to_dict()
+            old["meta"]["round_answers"] = [r.answer for r in inst.rounds]
+            assert instance_from_dict(old) == instance_from_dict(doc)
 
     def test_save_refuses_overwrite_without_force(self, tmp_path):
         manifest = CorpusManifest(seed=7, splits={"train": 1, "val": 0, "test": 0})
