@@ -3,6 +3,7 @@
 write, for checking that a change leaves the numerics bit for bit unchanged.
 
 Usage: python3 scripts/fingerprint.py
+Regenerate the committed expectation: python3 scripts/fingerprint.py > tests/fingerprint.txt
 
 Runs the CLI in a fresh temporary directory on eight fixed-seed
 configurations (the benchmark's three workload shapes, then the no_u,
@@ -16,6 +17,10 @@ name order), so a change to the container format that keeps the weights
 shows identical ``#params`` lines. Paths are relative to the temporary
 directory, so the corpus path recorded in each checkpoint is the same on
 every run. Two checkouts with identical numerics print identical output.
+
+The output opens with ``#`` lines naming the numpy version and BLAS
+library, because floating-point results are only comparable between runs
+on the same ones.
 """
 
 import contextlib
@@ -26,6 +31,8 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -105,6 +112,16 @@ def fingerprint() -> list[str]:
     return lines
 
 
+def environment() -> list[str]:
+    """The ``#`` header: numpy version and BLAS library name and version."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_name = f"{blas['name']} {blas.get('version', '')}".strip()
+    except (TypeError, KeyError):  # numpy < 1.25 has no dict form
+        blas_name = "unknown"
+    return [f"# numpy {np.__version__}", f"# blas {blas_name}"]
+
+
 def run() -> int:
     os.environ.pop("CAG_SEED", None)  # the configs' seeds must hold
     logging.basicConfig(level=logging.WARNING)
@@ -116,7 +133,7 @@ def run() -> int:
             lines = fingerprint()
         finally:
             os.chdir(home)
-    print("\n".join(lines))
+    print("\n".join(environment() + lines))
     return 0
 
 

@@ -1,16 +1,20 @@
 """Versioned checkpoint container: parameter tensors, vocab, the run
 config (with its hash) and the lr-schedule scalars in one file.
 
-The container is a custom length-prefixed binary layout rather than an
-archive format: identical inputs produce identical bytes (no timestamps),
-round-trips are bitwise for float64 arrays, and a trailing sha256 digest
-catches truncation and corruption with a clean error.
+Layout: magic, a little-endian u32 format version, a u64 metadata length,
+the metadata JSON, the parameter arrays as little-endian float64 bytes,
+and the sha256 digest of everything before it. The metadata's ``params``
+list of ``[name, shape]`` is the only description of the arrays, in the
+order their bytes follow. Identical inputs produce identical bytes (no
+timestamps), round-trips are bitwise, and the digest catches truncation
+and corruption with a clean error.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -22,7 +26,8 @@ from .encoders import Vocab
 from .model import Model, ModelParams
 
 MAGIC = b"CAGCKPT\x00"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
+_HEAD = struct.Struct("<IQ")  # format version, metadata length
 
 
 class CheckpointError(RuntimeError):
@@ -41,37 +46,10 @@ class Checkpoint:
     config: RunConfig
 
 
-def _pack_array(name: str, data: np.ndarray) -> bytes:
-    raw = np.ascontiguousarray(data, dtype=np.float64).tobytes()
-    name_b = name.encode()
-    head = struct.pack("<H", len(name_b)) + name_b
-    head += struct.pack("<B", data.ndim) + struct.pack(f"<{data.ndim}q", *data.shape)
-    return head + struct.pack("<Q", len(raw)) + raw
-
-
-class _Reader:
-    def __init__(self, blob: bytes, path):
-        self.blob = blob
-        self.pos = 0
-        self.path = path
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise CheckpointError(
-                f"corrupt or truncated checkpoint {self.path}: ran out of bytes")
-        out = self.blob[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
 def save_checkpoint(path, params_state: dict[str, np.ndarray],
                     optim: OptimState | None, vocab: Vocab,
                     config: RunConfig) -> None:
     meta = {
-        "version": FORMAT_VERSION,
         "config": config.to_dict(),
         "config_hash": config.config_hash(),
         "vocab": vocab.id_to_token,
@@ -80,13 +58,13 @@ def save_checkpoint(path, params_state: dict[str, np.ndarray],
             "step_count": optim.step_count,
             "epoch": optim.epoch,
         },
+        "params": [[name, list(data.shape)] for name, data in params_state.items()],
     }
     meta_b = json.dumps(meta, sort_keys=True).encode()
     body = b"".join([
-        MAGIC, struct.pack("<I", FORMAT_VERSION),
-        struct.pack("<Q", len(meta_b)), meta_b,
-        struct.pack("<I", len(params_state)),
-        *(_pack_array(f"param:{name}", data) for name, data in params_state.items()),
+        MAGIC, _HEAD.pack(FORMAT_VERSION, len(meta_b)), meta_b,
+        *(np.ascontiguousarray(data, dtype="<f8").tobytes()
+          for data in params_state.values()),
     ])
     with open(path, "wb") as fh:
         fh.write(body)
@@ -99,55 +77,53 @@ def load_checkpoint(path) -> Checkpoint:
             blob = fh.read()
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    if len(blob) < len(MAGIC) + 36 or blob[: len(MAGIC)] != MAGIC:
+    head_end = len(MAGIC) + _HEAD.size
+    if len(blob) < head_end + 32 or blob[: len(MAGIC)] != MAGIC:
         raise CheckpointError(f"corrupt or truncated checkpoint {path}: bad magic")
     body, digest = blob[:-32], blob[-32:]
     if hashlib.sha256(body).digest() != digest:
         raise CheckpointError(
             f"corrupt or truncated checkpoint {path}: sha256 digest mismatch")
 
-    r = _Reader(body, path)
-    r.take(len(MAGIC))
-    (version,) = r.unpack("<I")
+    version, meta_len = _HEAD.unpack_from(body, len(MAGIC))
     if version != FORMAT_VERSION:
         raise CheckpointError(
             f"checkpoint {path}: format version {version} unsupported "
             f"(expected {FORMAT_VERSION})")
-    (meta_len,) = r.unpack("<Q")
+    pos = head_end + meta_len
     try:
-        meta = json.loads(r.take(meta_len).decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"checkpoint {path}: unreadable metadata: {exc}") from exc
-    if meta.get("version") != version:
-        raise CheckpointError(f"checkpoint {path}: metadata field version disagrees "
-                              f"with container header")
-    try:
+        meta = json.loads(body[head_end:pos].decode())
         config = RunConfig.from_dict(meta["config"])
         vocab = Vocab(meta["vocab"])
         optim_meta = meta["optim"]
         if optim_meta is not None:
             optim_meta = {k: optim_meta[k] for k in ("base_lr", "step_count", "epoch")}
+        entries = meta["params"]
     except KeyError as exc:
         raise CheckpointError(f"checkpoint {path}: metadata lacks field {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"checkpoint {path}: unreadable metadata: {exc}") from exc
     except (ValueError, TypeError) as exc:
         raise CheckpointError(f"checkpoint {path}: {exc}") from exc
     if config.config_hash() != meta.get("config_hash"):
         raise CheckpointError(
             f"checkpoint {path}: config hash mismatch (stored config was altered)")
 
-    (count,) = r.unpack("<I")
+    if not (isinstance(entries, list) and all(
+            isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
+            and isinstance(e[1], list) and all(type(n) is int and n >= 0 for n in e[1])
+            for e in entries) and len({e[0] for e in entries}) == len(entries)):
+        raise CheckpointError(f"checkpoint {path}: metadata field 'params' is not a "
+                              f"list of distinct [name, shape] pairs")
+    sizes = [math.prod(shape) for _, shape in entries]
+    if pos + 8 * sum(sizes) != len(body):
+        raise CheckpointError(f"checkpoint {path}: the arrays take {8 * sum(sizes)} bytes, "
+                              f"but {len(body) - pos} follow the metadata")
     params_state: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = r.unpack("<H")
-        key = r.take(name_len).decode()
-        (ndim,) = r.unpack("<B")
-        shape = r.unpack(f"<{ndim}q") if ndim else ()
-        (data_len,) = r.unpack("<Q")
-        data = np.frombuffer(r.take(data_len), dtype=np.float64).reshape(shape).copy()
-        kind, _, name = key.partition(":")
-        if kind != "param":
-            raise CheckpointError(f"checkpoint {path}: unknown field {key}")
-        params_state[name] = data
+    for (name, shape), size in zip(entries, sizes):
+        params_state[name] = np.frombuffer(
+            body, dtype="<f8", count=size, offset=pos).reshape(shape).astype(np.float64)
+        pos += 8 * size
 
     optim = None if optim_meta is None else OptimState(**optim_meta)
     return Checkpoint(params_state, optim, vocab, config)

@@ -17,15 +17,15 @@ from collections import Counter
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import (Checkpoint, CheckpointError, build_model,
-                         load_checkpoint, save_checkpoint)
+from .checkpoint import (CheckpointError, build_model, load_checkpoint,
+                         save_checkpoint)
 from .config import RunConfig
 from .decoder import rank_of
 from .graph import graph_attention
 from .model import encode_instance, top_attended
 from .synthdial import (SPLIT_ORDER, CorpusManifest, GenerationError,
                         generate_corpus, load_split, save_corpus)
-from .training import evaluate, train
+from .training import evaluate, train, validate_corpus
 
 log = logging.getLogger("cag")
 
@@ -105,21 +105,13 @@ def _load_for_eval(ckpt_path, corpus_arg, ablate):
     return ckpt, model, corpus_dir
 
 
-def _check_corpus_dims(ckpt: Checkpoint, instances) -> None:
-    d_v = instances[0].scene.features().shape[0]
-    if d_v != ckpt.config.d_v:
-        raise CliError(
-            f"corpus feature dimension {d_v} does not match checkpoint d_v="
-            f"{ckpt.config.d_v}")
-
-
 def cmd_eval(args) -> int:
     ablate = args.ablate.split(",") if args.ablate else []
     ckpt, model, corpus_dir = _load_for_eval(args.ckpt, args.corpus, ablate)
     instances = load_split(corpus_dir, args.split)
     if not instances:
         raise CliError(f"split {args.split!r} is empty")
-    _check_corpus_dims(ckpt, instances)
+    validate_corpus(instances, ckpt.config)
     encoded = [encode_instance(i, ckpt.vocab) for i in instances]
     report, _ = evaluate(model, encoded)
     print(json.dumps(report.to_dict(), sort_keys=True))
@@ -194,7 +186,7 @@ def cmd_trace(args) -> int:
             break
     if inst is None:
         raise CliError(f"dialog id {args.dialog} not found in {corpus_dir}")
-    _check_corpus_dims(ckpt, [inst])
+    validate_corpus([inst], ckpt.config)
     enc = encode_instance(inst, ckpt.vocab)
     with T.no_grad():
         result = model.forward(enc)

@@ -149,13 +149,13 @@ def history_attention(q_sent: Tensor, memory: Tensor, w_q: Tensor,
     (:func:`cag.graph.graph_attention`) reuses it over the final nodes.
     """
     z = T.tanh(T.broadcast_cols(w_q @ q_sent, memory.data.shape[1]) + w_m @ memory)
-    alpha = T.softmax(p_score @ drop(z), axis=1)
+    scores = p_score @ drop(z)
+    alpha = T.masked_softmax(scores, np.ones(scores.shape, dtype=bool), axis=1)
     return memory @ T.transpose(alpha), alpha
 
 
 @dataclass
 class QuestionCommand:
-    step: int
     alpha: Tensor   # (1, m) word attention, PAD positions exactly zero
     vector: Tensor  # (d_w, 1) attention-weighted word embedding
 
@@ -180,9 +180,8 @@ class StepAttentionParams:
         yield f"{prefix}.score", self.score
 
 
-def question_command(question: EncodedQuestion, step: int, total_steps: int,
-                     params: StepAttentionParams, drop: Drop = _identity
-                     ) -> QuestionCommand:
+def question_command(question: EncodedQuestion, params: StepAttentionParams,
+                     drop: Drop = _identity) -> QuestionCommand:
     """Step-specific word attention over the question.
 
     A tanh/sigmoid gate pair re-embeds the hidden sequence, each word's
@@ -190,12 +189,10 @@ def question_command(question: EncodedQuestion, step: int, total_steps: int,
     softmaxed over non-PAD words. The command vector is the attention-
     weighted sum of the raw word embeddings.
     """
-    if not (1 <= step <= total_steps):
-        raise ValueError(f"step {step} outside [1, {total_steps}]")
     gated = T.tanh(params.gate_tanh @ question.hiddens) * T.sigmoid(
         params.gate_sig @ question.hiddens)
     z = T.l2_normalize(gated, axis=0)
     scores = params.score @ drop(z)
     alpha = T.masked_softmax(scores, question.valid[None, :], axis=1)
     vector = question.word_embs @ T.transpose(alpha)
-    return QuestionCommand(step=step, alpha=alpha, vector=vector)
+    return QuestionCommand(alpha=alpha, vector=vector)

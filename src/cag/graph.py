@@ -104,23 +104,15 @@ class AttentionTrace:
 # ---------------------------------------------------------------------------
 
 
-def init_graph(visual: Tensor, context: Tensor, no_context: bool = False) -> GraphState:
-    """Step-1 graph: every node column is [v_i; u].
-
-    With ``no_context`` the textual half is all zeros (graph describes the
-    visual scene only).
-    """
+def init_graph(visual: Tensor, context: Tensor) -> GraphState:
+    """Step-1 graph: every node column is [v_i; u]."""
     d, n = visual.data.shape
     if n < 1:
         raise T.ShapeError("init_graph: need at least one object node")
-    if no_context:
-        ctx = T.constant(np.zeros((d, n)))
-    else:
-        if context.data.shape != (d, 1):
-            raise T.ShapeError(
-                f"init_graph: context shape {context.data.shape} does not match ({d}, 1)")
-        ctx = T.broadcast_cols(context, n)
-    return GraphState(step=1, nodes=T.concat([visual, ctx], axis=0))
+    if context.data.shape != (d, 1):
+        raise T.ShapeError(
+            f"init_graph: context shape {context.data.shape} does not match ({d}, 1)")
+    return GraphState(step=1, nodes=T.concat([visual, T.broadcast_cols(context, n)], axis=0))
 
 
 def adjacency(nodes: Tensor, command: Tensor, params: GraphParams,
@@ -145,11 +137,15 @@ def adjacency(nodes: Tensor, command: Tensor, params: GraphParams,
 def select_neighbors(adj: np.ndarray, k: int) -> np.ndarray:
     """Row-independent top-K selection: neighbors[i] are the indices of the
     K strongest incoming edges of node i. Rows are independent, so the
-    structure is an asymmetric directed graph."""
+    structure is an asymmetric directed graph.
+
+    Row i equals ``T.topk_indices(adj[i], min(k, n))``: a stable sort of the
+    negated row puts larger values first and ties in index order.
+    """
     if k < 1:
         raise ValueError(f"select_neighbors: k must be >= 1, got {k}")
     n = adj.shape[0]
-    return np.stack([T.topk_indices(adj[i], min(k, n)) for i in range(n)])
+    return np.sort(np.argsort(-adj, axis=1, kind="stable")[:, :min(k, n)], axis=1)
 
 
 def message_passing(nodes: Tensor, adj: Tensor, neighbors: np.ndarray,
@@ -199,7 +195,7 @@ def iterate(visual: Tensor, context: Tensor, command_fn: CommandFn,
 
     Zero steps returns the constructed graph untouched.
     """
-    state = init_graph(visual, context, no_context="no_u" in cfg.ablations)
+    state = init_graph(visual, context)
     records: list[StepRecord] = []
     for _ in range(cfg.effective_steps):
         t = state.step

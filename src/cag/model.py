@@ -174,7 +174,7 @@ class Model:
         if training and keep < 1.0:
             if drop_rng is None:
                 raise ValueError("training forward needs a dropout rng")
-            drop = lambda x: T.dropout(x, keep, drop_rng, training=True)
+            drop = lambda x: T.dropout(x, keep, drop_rng)
         else:
             drop = lambda x: x
 
@@ -195,17 +195,15 @@ class Model:
                 question.sentence, history, p.hist_att_q, p.hist_att_mem,
                 p.hist_att_score, drop)
 
-        total_steps = cfg.effective_steps
         if "no_q_att" in cfg.ablations:
             shared = p.cmd_from_sentence @ question.sentence
             uniform = question.valid / question.valid.sum()
 
             def command_fn(t: int) -> QuestionCommand:
-                return QuestionCommand(t, T.constant(uniform[None, :]), shared)
+                return QuestionCommand(T.constant(uniform[None, :]), shared)
         else:
             def command_fn(t: int) -> QuestionCommand:
-                return question_command(question, t, total_steps,
-                                        p.step_attention[t - 1], drop)
+                return question_command(question, p.step_attention[t - 1], drop)
 
         state, records = iterate(visual, context, command_fn, p.graph, cfg)
         graph_emb, alpha_g = graph_attention(state.nodes, question.sentence,

@@ -227,6 +227,9 @@ def binding_answers(scene: Scene, question: ResolvedQuestion, pronoun: str) -> s
     return answers
 
 
+PRONOUNS = ("it", "he", "they")
+
+
 def pronoun_for(subject: Sequence[SceneObject]) -> str:
     if len(subject) > 1:
         return "they"
@@ -244,7 +247,12 @@ class DialogRound:
     answer: str
     form: ResolvedQuestion
     subject_ids: tuple[int, ...]
-    pronoun: bool
+
+    @property
+    def pronoun(self) -> bool:
+        """Whether the question refers back by pronoun; no establishing
+        template uses the words :func:`pronoun_for` emits."""
+        return any(tok in PRONOUNS for tok in self.question)
 
 
 @dataclass
@@ -301,14 +309,14 @@ def _establishing_round(scene: Scene, rng: np.random.Generator,
             form = ResolvedQuestion("exists", category=obj.category, color=obj.color)
             q = ["is", "there", "a", obj.color, obj.category]
             # (category, color) pairs are unique by construction
-            return DialogRound(q, "yes", form, (i,), False)
+            return DialogRound(q, "yes", form, (i,))
         if template == "exists_neg":
             present = {(o.category, o.color) for o in scene.objects}
             cat, color = _choice(rng, CATEGORIES), _choice(rng, COLORS)
             if (cat, color) in present:
                 continue
             form = ResolvedQuestion("exists", category=cat, color=color)
-            return DialogRound(["is", "there", "a", color, cat], "no", form, (), False)
+            return DialogRound(["is", "there", "a", color, cat], "no", form, ())
         if template in ("color_of", "size_of"):
             if not unique_ids:
                 continue
@@ -318,7 +326,7 @@ def _establishing_round(scene: Scene, rng: np.random.Generator,
             form = ResolvedQuestion(kind, subject_ids=(i,))
             word = "color" if kind == "color_of" else "size"
             q = ["what", word, "is", "the", obj.category]
-            return DialogRound(q, oracle_answer(scene, form), form, (i,), False)
+            return DialogRound(q, oracle_answer(scene, form), form, (i,))
         if template == "spatial":
             if len(unique_ids) < 2:
                 continue
@@ -329,7 +337,7 @@ def _establishing_round(scene: Scene, rng: np.random.Generator,
             a, b = scene.objects[i], scene.objects[j]
             rel_tokens = [rel, "of"] if rel in ("left", "right") else [rel]
             q = ["is", "the", a.category] + rel_tokens + ["the", b.category]
-            return DialogRound(q, oracle_answer(scene, form), form, (i,), False)
+            return DialogRound(q, oracle_answer(scene, form), form, (i,))
         if template == "count":
             cat = _choice(rng, sorted({o.category for o in scene.objects}))
             ids = tuple(i for i, o in enumerate(scene.objects) if o.category == cat)
@@ -339,12 +347,12 @@ def _establishing_round(scene: Scene, rng: np.random.Generator,
                 continue
             form = ResolvedQuestion("count", category=cat)
             q = ["how", "many", PLURALS[cat], "are", "there"]
-            return DialogRound(q, oracle_answer(scene, form), form, ids, False)
+            return DialogRound(q, oracle_answer(scene, form), form, ids)
         if template == "count_color":
             color = _choice(rng, COLORS)
             form = ResolvedQuestion("count", color=color)
             q = ["how", "many", color, "things", "are", "there"]
-            return DialogRound(q, oracle_answer(scene, form), form, (), False)
+            return DialogRound(q, oracle_answer(scene, form), form, ())
     raise GenerationError("no establishing template fits this scene")
 
 
@@ -392,7 +400,7 @@ def _pronoun_round(scene: Scene, rng: np.random.Generator,
             q = ["is", pron] + rel_tokens + ["the", scene.objects[j].category]
         if require_ambiguity and len(binding_answers(scene, form, pron)) < 2:
             continue
-        return DialogRound(q, oracle_answer(scene, form), form, subject_ids, True)
+        return DialogRound(q, oracle_answer(scene, form), form, subject_ids)
     return None
 
 
@@ -533,7 +541,6 @@ def instance_to_dict(inst: DialogInstance) -> dict:
         "candidates": [[c] for c in inst.candidates],
         "gt": inst.gt,
         "meta": {
-            "pronoun": inst.current.pronoun,
             "round_subjects": [list(r.subject_ids) for r in inst.rounds],
             "round_forms": [r.form.to_dict() for r in inst.rounds],
         },
@@ -561,7 +568,6 @@ def instance_from_dict(data: dict) -> DialogInstance:
             answer=answer,
             form=ResolvedQuestion.from_dict(meta["round_forms"][idx]),
             subject_ids=tuple(meta["round_subjects"][idx]),
-            pronoun=idx == n_hist and meta["pronoun"],
         ))
     return DialogInstance(data["id"], scene, list(data["caption"]), rounds,
                           [c[0] for c in data["candidates"]], gt)

@@ -271,15 +271,14 @@ def sigmoid(a: Tensor) -> Tensor:
     return _out(y, (a,), bw)
 
 
-def dropout(a: Tensor, keep_prob: float, rng: np.random.Generator | None = None,
-            training: bool = True) -> Tensor:
-    """Inverted dropout: train-mode mask scaled by 1/keep_prob, identity in eval."""
+def dropout(a: Tensor, keep_prob: float, rng: np.random.Generator | None = None) -> Tensor:
+    """Inverted dropout: a random mask scaled by 1/keep_prob (identity at keep_prob 1)."""
     if not (0.0 < keep_prob <= 1.0):
         raise ValueError(f"dropout: keep_prob must be in (0, 1], got {keep_prob}")
-    if not training or keep_prob == 1.0:
+    if keep_prob == 1.0:
         return a
     if rng is None:
-        raise ValueError("dropout: training mode needs an rng")
+        raise ValueError("dropout: needs an rng")
     mask = (rng.random(a.data.shape) < keep_prob) / keep_prob
 
     def bw(g):
@@ -293,23 +292,10 @@ def dropout(a: Tensor, keep_prob: float, rng: np.random.Generator | None = None,
 # ---------------------------------------------------------------------------
 
 
-def softmax(a: Tensor, axis: int) -> Tensor:
-    """Stable softmax along ``axis`` (max-subtracted)."""
-    if a.data.shape[axis] == 0:
-        raise ShapeError(f"softmax: empty axis {axis} in shape {a.data.shape}")
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
-
-    def bw(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        _accum(a, y * (g - dot))
-
-    return _out(y, (a,), bw)
-
-
 def masked_softmax(a: Tensor, mask: np.ndarray, axis: int) -> Tensor:
-    """Softmax restricted to ``mask`` positions; masked-out entries are exactly 0.
+    """Stable (max-subtracted) softmax along ``axis`` restricted to ``mask``
+    positions; masked-out entries are exactly 0, and an all-True mask gives
+    the plain softmax.
 
     The mask is a routing decision, not a variable: no gradient flows to
     masked-out entries.
@@ -317,6 +303,8 @@ def masked_softmax(a: Tensor, mask: np.ndarray, axis: int) -> Tensor:
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != a.data.shape:
         raise ShapeError(f"masked_softmax: mask {mask.shape} vs data {a.data.shape}")
+    if a.data.shape[axis] == 0:
+        raise ShapeError(f"masked_softmax: empty axis {axis} in shape {a.data.shape}")
     if not mask.any(axis=axis).all():
         raise ValueError("masked_softmax: some slice has no unmasked entry")
     neg = np.where(mask, a.data, -np.inf)

@@ -91,9 +91,14 @@ def train(train_set: Sequence[DialogInstance], val_set: Sequence[DialogInstance]
     enc_val = [encode_instance(i, vocab) for i in val_set]
 
     result = TrainResult()
-    if cfg.epochs == 0:
+
+    def snapshot(epoch: int | None) -> None:
+        result.best_epoch = epoch
         result.best_params = params.state_dict()
         result.best_optim = replace(optim, m={}, v={})
+
+    if cfg.epochs == 0:
+        snapshot(None)
         return model, optim, result, vocab
 
     accum = cfg.accum_rounds
@@ -123,16 +128,11 @@ def train(train_set: Sequence[DialogInstance], val_set: Sequence[DialogInstance]
                         "Mean": report.mean_rank})
             if report.mrr > result.best_mrr:
                 result.best_mrr = report.mrr
-                result.best_epoch = epoch
-                result.best_params = params.state_dict()
-                result.best_optim = replace(optim, m={}, v={})
+                snapshot(epoch)
+        elif epoch == cfg.epochs - 1:  # no validation split: final weights win
+            snapshot(epoch)
         row["lr"] = optim.effective_lr()
         result.log_rows.append(row)
         log.info("epoch %d: loss %.4f%s", epoch, row["loss"],
                  f" val MRR {row['MRR']:.4f}" if "MRR" in row else "")
-
-    if result.best_params is None:  # no validation split: final weights win
-        result.best_params = params.state_dict()
-        result.best_optim = replace(optim, m={}, v={})
-        result.best_epoch = cfg.epochs - 1
     return model, optim, result, vocab

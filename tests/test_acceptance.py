@@ -231,7 +231,7 @@ def test_criterion_07_compositionality():
         visual = constant(rng.normal(size=(d, n)))
         context = constant(rng.normal(size=(d, 1)))
         vecs = {t: constant(rng.normal(size=(d_w, 1))) for t in (1, 2)}
-        commands = lambda t: QuestionCommand(t, constant(np.ones((1, 1))), vecs[t])
+        commands = lambda t: QuestionCommand(constant(np.ones((1, 1))), vecs[t])
         flags = RunConfig(k_neighbors=2, steps=2)
 
         full, _ = iterate(visual, context, commands, params, flags)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import struct
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from cag.checkpoint import (CheckpointError, build_model, load_checkpoint,
                             save_checkpoint)
 from cag.cli import main
-from cag.model import encode_instance
+from cag.model import ModelParams, build_vocab, encode_instance
 from cag.synthdial import CorpusManifest
 from cag.training import evaluate, train
 from conftest import tiny_run_config, write_config, write_manifest
@@ -278,6 +279,25 @@ class TestEvalCommand:
         assert a["steps"] and c["steps"] == []
         assert a["logits"] != c["logits"]
 
+    @pytest.mark.parametrize("command", ["eval", "trace"])
+    def test_checkpoint_dims_checked_against_corpus(self, corpus_dir, tiny_corpus, tmp_path,
+                                                    capsys, command):
+        # a consistent checkpoint whose d_v the corpus features do not have
+        cfg = tiny_run_config(d_v=9, corpus_dir=str(corpus_dir))
+        vocab = build_vocab(tiny_corpus["train"])
+        params = ModelParams.init(cfg, len(vocab), np.random.default_rng(0))
+        ckpt = tmp_path / "d_v9.ckpt"
+        save_checkpoint(ckpt, params.state_dict(), None, vocab, cfg)
+        argv = {"eval": ["--split", "val"],
+                "trace": ["--dialog", str(tiny_corpus["val"][0].dialog_id),
+                          "--out", str(tmp_path / "trace.json")]}[command]
+        rc = main([command, "--ckpt", str(ckpt)] + argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        errors = [l for l in err.splitlines() if l.startswith("error:")]
+        assert len(errors) == 1 and "d_v=9" in errors[0]
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("mutate,expected", [
         (lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "gt"}),
          "missing field 'gt'"),
@@ -319,6 +339,9 @@ class TestEvalCommand:
         assert all(np.array_equal(a, b) for a, b in zip(logits_a, logits_b))
 
 
+BAD_PARAMS = "metadata field 'params' is not a list of distinct [name, shape] pairs"
+
+
 class TestCheckpointFile:
     def test_truncated_file_rejected(self, trained, tmp_path):
         out, _ = trained
@@ -329,8 +352,9 @@ class TestCheckpointFile:
             load_checkpoint(bad)
 
     # version 1 is the format before RunConfig lost out_dir, version 2 the
-    # one that still stored the Adam moments; retraining is their migration
-    @pytest.mark.parametrize("version", [1, 2, 99])
+    # one that still stored the Adam moments, version 3 the one with named
+    # array records; retraining is their migration
+    @pytest.mark.parametrize("version", [1, 2, 3, 99])
     def test_version_checked(self, trained, tmp_path, version):
         out, _ = trained
         ckpt = load_checkpoint(out / "best.ckpt")
@@ -353,9 +377,27 @@ class TestCheckpointFile:
         (lambda meta: meta.pop("vocab"), "metadata lacks field 'vocab'"),
         (lambda meta: meta.pop("optim"), "metadata lacks field 'optim'"),
         (lambda meta: meta["optim"].pop("epoch"), "metadata lacks field 'epoch'"),
-    ], ids=["stored-out_dir", "no-config", "no-vocab", "no-optim", "no-optim-epoch"])
+        (lambda meta: meta.pop("params"), "metadata lacks field 'params'"),
+        (lambda meta: meta.update(params={}), BAD_PARAMS),
+        (lambda meta: meta["params"].__setitem__(0, "embedding"), BAD_PARAMS),
+        (lambda meta: meta["params"][0].append(1), BAD_PARAMS),
+        (lambda meta: meta["params"][0].__setitem__(0, 7), BAD_PARAMS),
+        (lambda meta: meta["params"][0][1].__setitem__(0, -1), BAD_PARAMS),
+        (lambda meta: meta["params"][0][1].__setitem__(0, 2.0), BAD_PARAMS),
+        (lambda meta: meta["params"][0][1].__setitem__(0, True), BAD_PARAMS),
+        (lambda meta: meta["params"][1].__setitem__(0, meta["params"][0][0]), BAD_PARAMS),
+    ], ids=["stored-out_dir", "no-config", "no-vocab", "no-optim", "no-optim-epoch",
+            "no-params", "params-not-list", "entry-not-pair", "entry-too-long",
+            "name-not-str", "negative-dim", "float-dim", "bool-dim", "duplicate-name"])
     def test_bad_metadata_names_file(self, trained, tmp_path, edit, expected):
-        # rebuild a current-version container around edited metadata
+        bad = self.with_edited_metadata(trained, tmp_path, edit)
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(bad)
+        assert str(info.value) == f"checkpoint {bad}: {expected}"
+
+    @staticmethod
+    def with_edited_metadata(trained, tmp_path, edit):
+        """Rebuild a current-version container around edited metadata."""
         import cag.checkpoint as C
         out, _ = trained
         body = (out / "best.ckpt").read_bytes()[:-32]
@@ -368,9 +410,22 @@ class TestCheckpointFile:
                 + body[head + 8 + meta_len:])
         bad = tmp_path / "bad_meta.ckpt"
         bad.write_bytes(body + hashlib.sha256(body).digest())
+        return bad
+
+    @pytest.mark.parametrize("edit,expected", [
+        (lambda meta: meta["params"][0][1].__setitem__(0, meta["params"][0][1][0] + 1),
+         "overrun"),
+        (lambda meta: meta["params"].pop(), "underfill"),
+    ], ids=["overrun", "underfill"])
+    def test_arrays_must_fill_the_body(self, trained, tmp_path, edit, expected):
+        bad = self.with_edited_metadata(trained, tmp_path, edit)
         with pytest.raises(CheckpointError) as info:
             load_checkpoint(bad)
-        assert str(info.value) == f"checkpoint {bad}: {expected}"
+        found = re.fullmatch(rf"checkpoint {re.escape(str(bad))}: the arrays take (\d+) "
+                             r"bytes, but (\d+) follow the metadata", str(info.value))
+        assert found, str(info.value)
+        need, have = map(int, found.groups())
+        assert (need > have) == (expected == "overrun")
 
     def test_tampered_config_hash_rejected(self, trained, tmp_path, monkeypatch):
         # write a container whose stored hash lies about the stored config
@@ -404,13 +459,12 @@ class TestCheckpointFile:
             build_model(load_checkpoint(bad))
 
     def test_optimizer_state_round_trips(self, trained, tmp_path):
-        # the file holds one param: array per parameter and no Adam moments;
-        # the schedule scalars survive a save/load cycle
+        # the file holds no Adam moments; the schedule scalars survive a
+        # save/load cycle
         out, _ = trained
         ckpt = load_checkpoint(out / "best.ckpt")
         body = (out / "best.ckpt").read_bytes()
         assert b"adam_" not in body
-        assert body.count(b"param:") == len(ckpt.params_state)
         assert ckpt.optim is not None
         assert ckpt.optim.step_count > 0
         assert ckpt.optim.m == {} and ckpt.optim.v == {}

@@ -308,7 +308,7 @@ class TestQuestionCommand:
     def test_single_word_returns_its_embedding(self):
         rng = np.random.default_rng(9)
         q, _, _ = make_question(rng, d=4, d_w=3, m=1)
-        cmd = question_command(q, 1, 2, StepAttentionParams.init(4, rng))
+        cmd = question_command(q, StepAttentionParams.init(4, rng))
         np.testing.assert_allclose(cmd.alpha.data, [[1.0]])
         np.testing.assert_allclose(cmd.vector.data, q.word_embs.data, rtol=1e-12)
 
@@ -319,7 +319,7 @@ class TestQuestionCommand:
         q = encode_question([3, 3], table, LSTMParams.init(d_w, d, rng))
         # identical embeddings but distinct hidden states; force symmetric hiddens
         q.hiddens = T.broadcast_cols(T.take_col(q.hiddens, 0), 2)
-        cmd = question_command(q, 1, 1, StepAttentionParams.init(d, rng))
+        cmd = question_command(q, StepAttentionParams.init(d, rng))
         np.testing.assert_allclose(cmd.alpha.data, [[0.5, 0.5]], atol=1e-12)
         np.testing.assert_allclose(cmd.vector.data, table.data[3][:, None], rtol=1e-12)
 
@@ -328,7 +328,7 @@ class TestQuestionCommand:
         d, d_w, m = 5, 4, 3
         q, _, _ = make_question(rng, d, d_w, m)
         sp = StepAttentionParams.init(d, rng)
-        cmd = question_command(q, 2, 2, sp)
+        cmd = question_command(q, sp)
 
         U = q.hiddens.data
         gated = np.tanh(sp.gate_tanh.data @ U) * np_sigmoid(sp.gate_sig.data @ U)
@@ -343,28 +343,22 @@ class TestQuestionCommand:
         rng = np.random.default_rng(12)
         valid = np.array([True, False, True, True])
         q, _, _ = make_question(rng, d=4, d_w=3, m=4, valid=valid)
-        cmd = question_command(q, 1, 1, StepAttentionParams.init(4, rng))
+        cmd = question_command(q, StepAttentionParams.init(4, rng))
         assert cmd.alpha.data[0, 1] == 0.0
         assert cmd.alpha.data.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_step_out_of_range_rejected(self):
-        rng = np.random.default_rng(13)
-        q, _, _ = make_question(rng, d=4, d_w=3, m=2)
-        with pytest.raises(ValueError, match="outside"):
-            question_command(q, 3, 2, StepAttentionParams.init(4, rng))
 
     def test_per_step_parameters_are_independent(self):
         rng = np.random.default_rng(14)
         q, _, _ = make_question(rng, d=4, d_w=3, m=3)
         steps = [StepAttentionParams.init(4, rng) for _ in range(2)]
-        before = question_command(q, 1, 2, steps[0]).vector.data.copy()
+        before = question_command(q, steps[0]).vector.data.copy()
         # perturbing step-2 parameters must leave the step-1 command bitwise intact
         steps[1].score.data += 0.5
-        after = question_command(q, 1, 2, steps[0]).vector.data
+        after = question_command(q, steps[0]).vector.data
         assert np.array_equal(before, after)
-        cmd2a = question_command(q, 2, 2, steps[1]).vector.data.copy()
+        cmd2a = question_command(q, steps[1]).vector.data.copy()
         steps[1].score.data += 0.5
-        cmd2b = question_command(q, 2, 2, steps[1]).vector.data
+        cmd2b = question_command(q, steps[1]).vector.data
         assert not np.array_equal(cmd2a, cmd2b)
 
 

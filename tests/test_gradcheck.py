@@ -64,7 +64,7 @@ PRIMITIVE_CASES = {
     "sum_all": lambda a, b: a.sum(),
     "sum_rows": lambda a, b: T.tensor_sum(a, axis=0),
     "sum_cols": lambda a, b: T.tensor_sum(a, axis=1, keepdims=True),
-    "softmax_rows": lambda a, b: T.softmax(a, axis=1),
+    "softmax_rows": lambda a, b: T.masked_softmax(a, np.ones(a.shape, dtype=bool), axis=1),
     "l2_normalize_cols": lambda a, b: T.l2_normalize(a, axis=0),
     "concat_rows": lambda a, b: T.concat([a, b], axis=0),
     "concat_cols": lambda a, b: T.concat([a, b], axis=1),

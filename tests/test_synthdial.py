@@ -237,7 +237,7 @@ class TestCorpus:
         doc = instance_to_dict(inst)
         assert set(doc) >= {"scene", "caption", "history", "question", "candidates", "gt"}
         assert set(doc["scene"]["objects"][0]) == {"cat", "color", "size", "cell"}
-        assert set(doc["meta"]) == {"pronoun", "round_subjects", "round_forms"}
+        assert set(doc["meta"]) == {"round_subjects", "round_forms"}
         assert all(len(pair) == 2 for pair in doc["history"])
         assert isinstance(doc["gt"], int)
 
@@ -251,7 +251,15 @@ class TestCorpus:
                 obj["feat"] = encode_object(o, inst.scene.grid).tolist()
             old["meta"]["form"] = inst.current.form.to_dict()
             old["meta"]["round_answers"] = [r.answer for r in inst.rounds]
+            old["meta"]["pronoun"] = inst.current.pronoun
             assert instance_from_dict(old) == instance_from_dict(doc)
+
+    def test_history_pronoun_rounds_survive_save_and_load(self, tmp_path):
+        manifest = CorpusManifest(seed=6, splits={"train": 20, "val": 0, "test": 0})
+        corpus = generate_corpus(manifest)
+        assert any(r.pronoun for inst in corpus["train"] for r in inst.history)
+        save_corpus(corpus, manifest, tmp_path)
+        assert load_split(tmp_path, "train") == corpus["train"]
 
     def test_save_refuses_overwrite_without_force(self, tmp_path):
         manifest = CorpusManifest(seed=7, splits={"train": 1, "val": 0, "test": 0})

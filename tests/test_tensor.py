@@ -20,7 +20,6 @@ from cag.tensor import (
     no_grad,
     scale,
     sigmoid,
-    softmax,
     softmax_cross_entropy,
     take_col,
     take_rows,
@@ -30,6 +29,11 @@ from cag.tensor import (
     transpose,
     zero_grad,
 )
+
+
+def softmax(a, axis):
+    """The plain softmax: masked_softmax with every position kept."""
+    return masked_softmax(a, np.ones(a.shape, dtype=bool), axis=axis)
 
 
 def brute_force_topk(row, k):
@@ -69,14 +73,14 @@ class TestPrimitives:
         np.testing.assert_array_equal(take_rows(cat, 2, 4).data, b.data)
         np.testing.assert_array_equal(take_col(cat, 1).data, cat.data[:, 1:2])
 
-    def test_dropout_eval_is_identity(self):
+    def test_dropout_keep_all_is_identity(self):
         x = constant(np.ones((4, 4)))
-        assert dropout(x, 0.5, training=False) is x
+        assert dropout(x, 1.0) is x
 
     def test_dropout_train_masks_and_rescales(self):
         rng = np.random.default_rng(0)
         x = Tensor(np.ones((100, 100)), requires_grad=True)
-        y = dropout(x, 0.7, rng=rng, training=True)
+        y = dropout(x, 0.7, rng=rng)
         kept = y.data != 0.0
         np.testing.assert_allclose(y.data[kept], 1.0 / 0.7)
         assert 0.6 < kept.mean() < 0.8
