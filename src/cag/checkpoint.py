@@ -7,7 +7,7 @@ and the sha256 digest of everything before it. The metadata's ``params``
 list of ``[name, shape]`` is the only description of the arrays, in the
 order their bytes follow. Identical inputs produce identical bytes (no
 timestamps), round-trips are bitwise, and the digest catches truncation
-and corruption with a clean error.
+and corruption with a clean error. The file is written atomically.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, atomic_open
 from .decoder import OptimState
 from .encoders import Vocab
 from .model import Model, ModelParams
@@ -66,7 +66,7 @@ def save_checkpoint(path, params_state: dict[str, np.ndarray],
         *(np.ascontiguousarray(data, dtype="<f8").tobytes()
           for data in params_state.values()),
     ])
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(body)
         fh.write(hashlib.sha256(body).digest())
 

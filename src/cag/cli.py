@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import (CheckpointError, build_model, load_checkpoint,
                          save_checkpoint)
-from .config import RunConfig
+from .config import RunConfig, atomic_open
 from .decoder import rank_of
 from .graph import graph_attention
 from .model import encode_instance, top_attended
@@ -63,7 +63,10 @@ def _resolve_seed(cfg: RunConfig) -> RunConfig:
             seed = int(env)
         except ValueError:
             raise CliError(f"CAG_SEED must be an integer, got {env!r}") from None
-        cfg = dataclasses.replace(cfg, seed=seed)
+        try:
+            cfg = dataclasses.replace(cfg, seed=seed)
+        except ValueError as exc:
+            raise CliError(f"CAG_SEED={env}: {exc}") from None
         log.info("CAG_SEED=%s overrides config seed", env)
     return cfg
 
@@ -85,14 +88,15 @@ def cmd_train(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     log_path = os.path.join(args.out, "metrics.jsonl")
-    with open(log_path, "w") as fh:
+    with atomic_open(log_path) as fh:
         for row in result.log_rows:
             fh.write(json.dumps(row) + "\n")
     ckpt_path = os.path.join(args.out, "best.ckpt")
     save_checkpoint(ckpt_path, result.best_params, result.best_optim, vocab, cfg)
     print(f"wrote {log_path} ({len(result.log_rows)} rows) and {ckpt_path}")
-    if result.best_epoch is not None and result.log_rows:
-        print(f"best val MRR {result.best_mrr:.4f} at epoch {result.best_epoch}")
+    if result.log_rows:
+        print(f"best val MRR {result.best_mrr:.4f} at epoch {result.best_epoch}" if val_set
+              else f"no val split: {ckpt_path} holds the final epoch {result.best_epoch}")
     return 0
 
 
@@ -191,7 +195,9 @@ def cmd_trace(args) -> int:
     with T.no_grad():
         result = model.forward(enc)
         doc = build_trace_doc(model, enc, result)
-    with open(args.out, "w") as fh:
+    # a pipe or device (say /dev/stdout) is written through; a file is replaced
+    opener = open if os.path.exists(args.out) and not os.path.isfile(args.out) else atomic_open
+    with opener(args.out, "w") as fh:
         fh.write(json.dumps(doc, sort_keys=True) + "\n")
     print(f"wrote trace for dialog {args.dialog} to {args.out}")
     return 0

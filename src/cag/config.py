@@ -1,11 +1,15 @@
 """Run configuration: model dimensions, inference knobs, training recipe;
-and the checked JSON-record base that corpus manifests share."""
+the checked JSON-record base that corpus manifests share; and the atomic
+file write every artifact goes through."""
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
+import math
+import os
 from dataclasses import dataclass, field
 
 VARIANTS = ("cag", "dualq")
@@ -26,6 +30,21 @@ _TYPE_CHECKS = {
     "dict[str, int]": lambda v: isinstance(v, dict) and all(
         isinstance(k, str) and _TYPE_CHECKS["int"](n) for k, n in v.items()),
 }
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Write through a temp file beside ``path`` that ``os.replace`` moves
+    onto it when the block ends, so a killed or failed write leaves the old
+    file whole. No fsync: this guards against a killed run, not power loss."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
 
 
 class JsonRecord:
@@ -87,8 +106,6 @@ class RunConfig(JsonRecord):
     epochs: int = 20
     dropout: float = 0.3
     seed: int = 1
-    vocab_min_count: int = 1
-    accum_rounds: int = 1
     # resolved by the CLI; recorded so eval can find the corpus
     corpus_dir: str = ""
 
@@ -101,13 +118,13 @@ class RunConfig(JsonRecord):
                 raise ValueError(f"unknown ablation {a!r}; expected among {ABLATIONS}")
         if not (0.0 <= self.dropout < 1.0):
             raise ValueError(f"dropout ratio must be in [0, 1), got {self.dropout}")
-        for name in ("d", "d_w", "d_v", "k_neighbors"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.steps < 0:
-            raise ValueError("steps must be >= 0")
-        if self.accum_rounds < 1:
-            raise ValueError(f"accum_rounds must be >= 1, got {self.accum_rounds}")
+        for name, low in (("d", 1), ("d_w", 1), ("d_v", 1), ("k_neighbors", 1),
+                          ("steps", 0), ("epochs", 0), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"config field {name!r} must be >= {low}, "
+                                 f"got {getattr(self, name)}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"config field 'lr' must be finite and > 0, got {self.lr}")
 
     @property
     def effective_steps(self) -> int:

@@ -32,8 +32,7 @@ def score_candidates(fused: Tensor, candidates: Tensor) -> Tensor:
 
 
 def npair_loss(logits: Tensor, target: int) -> Tensor:
-    """Softmax cross-entropy pushing the true candidate above all
-    distractors jointly; batch reduction is the mean (caller scales)."""
+    """Softmax cross-entropy pushing the true candidate above all distractors."""
     return T.softmax_cross_entropy(logits, target)
 
 

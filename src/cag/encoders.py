@@ -4,7 +4,6 @@ word-level question commands that steer the graph."""
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -41,10 +40,8 @@ class Vocab:
         return len(self.id_to_token)
 
     @classmethod
-    def build(cls, sentences: Iterable[Sequence[str]], min_count: int = 1) -> "Vocab":
-        counts = Counter(tok for sent in sentences for tok in sent)
-        kept = sorted(tok for tok, c in counts.items() if c >= min_count)
-        return cls([PAD_TOKEN, UNK_TOKEN] + kept)
+    def build(cls, sentences: Iterable[Sequence[str]]) -> "Vocab":
+        return cls([PAD_TOKEN, UNK_TOKEN] + sorted({tok for sent in sentences for tok in sent}))
 
     def encode(self, tokens: Sequence[str], max_len: int | None = None) -> list[int]:
         if max_len is not None:

@@ -7,7 +7,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensor import Tensor, backward, no_grad, zero_grad
+from .tensor import Tensor, backward, no_grad
 
 # Relative error uses max(|analytic|, |numeric|, floor) as denominator; the
 # floor keeps finite-difference roundoff on near-zero components from

@@ -136,10 +136,8 @@ def encode_instance(inst: DialogInstance, vocab: Vocab) -> EncodedInstance:
     )
 
 
-def build_vocab(instances: Sequence[DialogInstance], min_count: int = 1) -> Vocab:
-    return Vocab.build(
-        (sent for inst in instances for sent in token_sentences(inst)),
-        min_count=min_count)
+def build_vocab(instances: Sequence[DialogInstance]) -> Vocab:
+    return Vocab.build(sent for inst in instances for sent in token_sentences(inst))
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +150,6 @@ class ForwardResult:
     logits: Tensor                    # (1, C)
     trace: AttentionTrace
     q_sentence: np.ndarray            # (d, 1) question sentence vector
-    fused: np.ndarray                 # (d, 1) multimodal embedding
 
 
 class Model:
@@ -166,17 +163,13 @@ class Model:
                 f"configured {cfg.steps} steps but parameters cover "
                 f"{len(params.step_attention)}")
 
-    def forward(self, enc: EncodedInstance, training: bool = False,
+    def forward(self, enc: EncodedInstance,
                 drop_rng: np.random.Generator | None = None,
                 candidate_cache: dict | None = None) -> ForwardResult:
+        """Dropout applies if and only if ``drop_rng`` is given."""
         p, cfg = self.params, self.cfg
         keep = 1.0 - cfg.dropout
-        if training and keep < 1.0:
-            if drop_rng is None:
-                raise ValueError("training forward needs a dropout rng")
-            drop = lambda x: T.dropout(x, keep, drop_rng)
-        else:
-            drop = lambda x: x
+        drop = (lambda x: x) if drop_rng is None else (lambda x: T.dropout(x, keep, drop_rng))
 
         feats = T.constant(enc.features)
         n = feats.data.shape[1]
@@ -228,7 +221,7 @@ class Model:
             alpha_g=alpha_g.data.reshape(-1),
         )
         return ForwardResult(logits=logits, trace=trace,
-                             q_sentence=question.sentence.data, fused=fused.data)
+                             q_sentence=question.sentence.data)
 
 
 def top_attended(alpha: np.ndarray, k: int = 2) -> list[int]:

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import JsonRecord
+from .config import JsonRecord, atomic_open
 
 CATEGORIES = ("person", "dog", "cat", "car", "tree", "ball")
 COLORS = ("red", "blue", "green", "yellow", "black", "white")
@@ -551,9 +551,21 @@ def instance_from_dict(data: dict) -> DialogInstance:
     gt, n_cand = data["gt"], len(data["candidates"])
     if type(gt) is not int or not 0 <= gt < n_cand:
         raise ValueError(f"gt {gt!r} outside [0, {n_cand})")
-    objects = [SceneObject(o["cat"], o["color"], o["size"], tuple(o["cell"]))
-               for o in data["scene"]["objects"]]
-    scene = Scene(objects, data["scene"]["grid"])
+    grid, objects = data["scene"]["grid"], data["scene"]["objects"]
+    if type(grid) is not int or grid < 1:
+        raise ValueError(f"scene grid {grid!r} is not an integer >= 1")
+    if not objects:
+        raise ValueError("scene has no objects")
+    for i, o in enumerate(objects):
+        cell = o["cell"]
+        if not (o["cat"] in CATEGORIES and o["color"] in COLORS and o["size"] in SIZES
+                and type(cell) is list and len(cell) == 2
+                and type(cell[0]) is type(cell[1]) is int
+                and 0 <= cell[0] < grid and 0 <= cell[1] < grid):
+            raise ValueError(f"scene object {i} {o}: needs a known cat, color and size "
+                             f"and a cell of two integers in [0, {grid})")
+    scene = Scene([SceneObject(o["cat"], o["color"], o["size"], tuple(o["cell"]))
+                   for o in objects], grid)
     meta = data["meta"]
     rounds = []
     n_hist = len(data["history"])
@@ -581,11 +593,11 @@ def save_corpus(corpus: dict[str, list[DialogInstance]], manifest: CorpusManifes
     if existing and not force:
         raise FileExistsError(f"refusing to overwrite {existing[0]} (pass force)")
     for split, path in zip(SPLIT_ORDER, paths):
-        with open(path, "w") as fh:
+        with atomic_open(path) as fh:
             for inst in corpus.get(split, []):
                 fh.write(json.dumps(instance_to_dict(inst),
                                     sort_keys=True, separators=(",", ":")) + "\n")
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+    with atomic_open(os.path.join(out_dir, "manifest.json")) as fh:
         fh.write(manifest.to_json())
 
 

@@ -3,11 +3,12 @@
 Every operation records a backward closure on the output tensor; calling
 :func:`backward` on a scalar loss walks the recorded graph once in reverse
 topological order and accumulates gradients into ``.grad``. Gradients on
-leaf tensors accumulate across calls (call :func:`zero_grad` between
-optimizer steps). Intermediate tensors are created fresh per forward pass,
-so a pass owns its tape. :func:`no_grad` switches recording through one
-process-global flag, so passes must not run concurrently: a ``no_grad``
-block in one thread turns recording off for every other thread too.
+leaf tensors accumulate across calls, except on the ``params`` that
+:func:`backward` is given, which it zero-fills first. Intermediate
+tensors are created fresh per forward pass, so a pass owns its tape.
+:func:`no_grad` switches recording through one process-global flag, so
+passes must not run concurrently: a ``no_grad`` block in one thread turns
+recording off for every other thread too.
 
 The LSTM recurrence is one fused primitive (:func:`lstm_sequence`): a whole
 sequence records a single tape node.
@@ -143,15 +144,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         _accum(b, g * ad)
 
     return _out(ad * bd, (a, b), bw)
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    s = float(s)
-
-    def bw(g):
-        _accum(a, g * s)
-
-    return _out(a.data * s, (a,), bw)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

@@ -15,6 +15,7 @@ from . import tensor as T
 from .config import RunConfig
 from .decoder import (OptimState, RankReport, adam_step, metrics_from_ranks,
                       npair_loss, rank_of)
+from .encoders import Vocab
 from .model import (EncodedInstance, Model, ModelParams, build_vocab,
                     encode_instance)
 from .synthdial import DialogInstance
@@ -56,8 +57,7 @@ def evaluate(model: Model, instances: Sequence[EncodedInstance],
     cache: dict = {}
     with T.no_grad():
         for enc in instances:
-            logits = model.forward(enc, training=False,
-                                   candidate_cache=cache).logits.data.reshape(-1)
+            logits = model.forward(enc, candidate_cache=cache).logits.data.reshape(-1)
             ranks.append(rank_of(logits, enc.gt))
             if collect_logits:
                 rows.append(logits.copy())
@@ -65,19 +65,15 @@ def evaluate(model: Model, instances: Sequence[EncodedInstance],
 
 
 def train(train_set: Sequence[DialogInstance], val_set: Sequence[DialogInstance],
-          cfg: RunConfig) -> tuple[Model, OptimState, TrainResult, "Vocab"]:
-    """Full run: build vocab from the train split, fit, track best val MRR.
-
-    Zero epochs returns the initialized model as the best snapshot with no
-    log rows.
-    """
-    from .encoders import Vocab  # local to keep the signature annotation light
-
+          cfg: RunConfig) -> tuple[Model, OptimState, TrainResult, Vocab]:
+    """Full run: build vocab from the train split, fit, and snapshot the
+    epoch with the best val MRR (without a val split the last epoch; with
+    zero epochs the initial weights, ``best_epoch`` None and no log rows)."""
     validate_corpus(train_set, cfg)
     if val_set:
         validate_corpus(val_set, cfg)
 
-    vocab = build_vocab(train_set, min_count=cfg.vocab_min_count)
+    vocab = build_vocab(train_set)
     rng_params = np.random.default_rng([cfg.seed, 0])
     rng_dropout = np.random.default_rng([cfg.seed, 1])
     rng_shuffle = np.random.default_rng([cfg.seed, 2])
@@ -97,28 +93,15 @@ def train(train_set: Sequence[DialogInstance], val_set: Sequence[DialogInstance]
         result.best_params = params.state_dict()
         result.best_optim = replace(optim, m={}, v={})
 
-    if cfg.epochs == 0:
-        snapshot(None)
-        return model, optim, result, vocab
-
-    accum = cfg.accum_rounds
     for epoch in range(cfg.epochs):
         optim.epoch = epoch
-        order = rng_shuffle.permutation(len(enc_train))
         losses = []
-        T.zero_grad(params.tensors())
-        pending = 0
-        for pos, idx in enumerate(order):
+        for idx in rng_shuffle.permutation(len(enc_train)):
             enc = enc_train[int(idx)]
-            res = model.forward(enc, training=True, drop_rng=rng_dropout)
-            loss = npair_loss(res.logits, enc.gt)
+            loss = npair_loss(model.forward(enc, drop_rng=rng_dropout).logits, enc.gt)
             losses.append(loss.item())
-            T.backward(T.scale(loss, 1.0 / accum))
-            pending += 1
-            if pending == accum or pos == len(order) - 1:
-                adam_step(optim, named)
-                T.zero_grad(params.tensors())
-                pending = 0
+            T.backward(loss, params.tensors())
+            adam_step(optim, named)
 
         row = {"epoch": epoch, "loss": float(np.mean(losses))}
         if enc_val:
@@ -129,10 +112,10 @@ def train(train_set: Sequence[DialogInstance], val_set: Sequence[DialogInstance]
             if report.mrr > result.best_mrr:
                 result.best_mrr = report.mrr
                 snapshot(epoch)
-        elif epoch == cfg.epochs - 1:  # no validation split: final weights win
-            snapshot(epoch)
         row["lr"] = optim.effective_lr()
         result.log_rows.append(row)
         log.info("epoch %d: loss %.4f%s", epoch, row["loss"],
                  f" val MRR {row['MRR']:.4f}" if "MRR" in row else "")
+    if result.best_params is None:  # no val split, or no epoch ran
+        snapshot(cfg.epochs - 1 if cfg.epochs else None)
     return model, optim, result, vocab

@@ -11,6 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+import cag.model
 from cag import tensor as T
 from cag.checkpoint import build_model, load_checkpoint, save_checkpoint
 from cag.cli import main
@@ -18,7 +19,7 @@ from cag.config import RunConfig
 from cag.decoder import metrics_from_ranks, npair_loss, rank_metrics
 from cag.encoders import QuestionCommand
 from cag.gradcheck import finite_diff_check
-from cag.graph import (GraphParams, adjacency, graph_attention,
+from cag.graph import (GraphParams, adjacency, fuse, graph_attention,
                        init_graph, iterate, message_passing, select_neighbors,
                        update_nodes)
 from cag.model import Model, ModelParams, build_vocab, encode_instance
@@ -121,6 +122,23 @@ def test_criterion_02_topk_oracle():
                                           err_msg=f"case {case}")
 
 
+def forward_with_fused(model, enc):
+    """``model.forward(enc)`` plus the fused multimodal embedding it scored
+    the candidates against, read from the ``fuse`` call."""
+    seen = []
+
+    def recording_fuse(*args):
+        out = fuse(*args)
+        seen.append(out.data)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cag.model, "fuse", recording_fuse)
+        result = model.forward(enc)
+    (fused,) = seen
+    return result, fused
+
+
 def test_criterion_03_permutation_equivariance():
     with criterion("03 permutation-equivariance"):
         inst = tiny_preset_instance()
@@ -132,7 +150,7 @@ def test_criterion_03_permutation_equivariance():
             base_enc = type(enc)(enc.dialog_id, feats, enc.caption_ids,
                                  enc.round_ids, enc.question_ids,
                                  enc.candidate_ids, enc.gt)
-            base = model.forward(base_enc)
+            base, base_fused = forward_with_fused(model, base_enc)
             if any(np.unique(r.adjacency).size != r.adjacency.size
                    for r in base.trace.steps):
                 continue  # needs all-distinct adjacency values
@@ -143,14 +161,14 @@ def test_criterion_03_permutation_equivariance():
             perm_enc = type(enc)(enc.dialog_id, feats[:, perm], enc.caption_ids,
                                  enc.round_ids, enc.question_ids,
                                  enc.candidate_ids, enc.gt)
-            other = model.forward(perm_enc)
+            other, other_fused = forward_with_fused(model, perm_enc)
             for rb, rp in zip(base.trace.steps, other.trace.steps):
                 np.testing.assert_allclose(
                     rp.adjacency, rb.adjacency[np.ix_(perm, perm)], atol=1e-9)
                 for i in range(n):
                     np.testing.assert_array_equal(
                         rp.neighbors[i], np.sort(inv[rb.neighbors[perm[i]]]))
-            np.testing.assert_allclose(other.fused, base.fused, atol=1e-9)
+            np.testing.assert_allclose(other_fused, base_fused, atol=1e-9)
             checked += 1
 
 

@@ -1,7 +1,10 @@
 import hashlib
 import json
+import os
 import re
+import stat
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ import pytest
 from cag.checkpoint import (CheckpointError, build_model, load_checkpoint,
                             save_checkpoint)
 from cag.cli import main
+from cag.config import atomic_open
 from cag.model import ModelParams, build_vocab, encode_instance
 from cag.synthdial import CorpusManifest
 from cag.training import evaluate, train
@@ -17,6 +21,13 @@ from conftest import tiny_run_config, write_config, write_manifest
 
 def file_hash(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def with_scene(line, edit):
+    """A corpus line with ``edit`` applied to its scene."""
+    data = json.loads(line)
+    edit(data["scene"])
+    return json.dumps(data)
 
 
 @pytest.fixture(scope="module")
@@ -140,15 +151,22 @@ class TestTrainCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
-    def test_dim_mismatch_rejected(self, tmp_path, corpus_dir, capsys):
-        cfg_path = write_config(tmp_path / "c.json", tiny_run_config(d_v=9))
+    def test_negative_cag_seed_names_source_and_field(self, tmp_path, corpus_dir, capsys,
+                                                       monkeypatch):
+        cfg_path = write_config(tmp_path / "c.json", tiny_run_config(epochs=1))
+        monkeypatch.setenv("CAG_SEED", "-3")
         rc = main(["train", "--config", cfg_path, "--corpus", str(corpus_dir),
                    "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
         assert rc == 2
-        assert "d_v" in capsys.readouterr().err
+        assert [l for l in err.splitlines() if l.startswith("error:")] == [
+            "error: CAG_SEED=-3: config field 'seed' must be >= 0, got -3"]
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("rounds", [0, -1])
     def test_nonpositive_accum_rounds_rejected(self, tmp_path, corpus_dir, capsys, rounds):
+        # accum_rounds is no longer a config field: any value is refused as unknown
         cfg = tiny_run_config().to_dict()
         cfg["accum_rounds"] = rounds
         cfg_path = tmp_path / "c.json"
@@ -158,9 +176,30 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert rc == 2
         assert [l for l in err.splitlines() if l.startswith("error:")] == [
-            f"error: accum_rounds must be >= 1, got {rounds}"]
+            "error: unknown config fields: ['accum_rounds']"]
         assert "Traceback" not in err
         assert not (tmp_path / "run").exists()
+
+    def test_without_val_split_reports_final_epoch(self, tmp_path, corpus_dir, capsys):
+        no_val = tmp_path / "corpus"
+        no_val.mkdir()
+        for name in ("train.jsonl", "manifest.json"):
+            (no_val / name).write_bytes((corpus_dir / name).read_bytes())
+        cfg_path = write_config(tmp_path / "c.json", tiny_run_config(epochs=2))
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg_path, "--corpus", str(no_val),
+                     "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[-1] == f"no val split: {out / 'best.ckpt'} holds the final epoch 1"
+        assert not any("MRR" in line for line in printed)
+        assert load_checkpoint(out / "best.ckpt").optim.epoch == 1
+
+    def test_dim_mismatch_rejected(self, tmp_path, corpus_dir, capsys):
+        cfg_path = write_config(tmp_path / "c.json", tiny_run_config(d_v=9))
+        rc = main(["train", "--config", cfg_path, "--corpus", str(corpus_dir),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "d_v" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field,value,expected", [
         ("d", "64", "int"),
@@ -212,12 +251,26 @@ class TestTrainCommand:
      "{path}: dialog 24: no unambiguous pronoun chain found in 100 attempts "
      "(n_objects=3, rounds=10)"),
     ("train", None, "[Errno 21] Is a directory: '{path}'"),
+    # fields RunConfig no longer has
+    ("train", '{"accum_rounds": 1, "vocab_min_count": 1}',
+     "unknown config fields: ['accum_rounds', 'vocab_min_count']"),
+    ("train", '{"epochs": -1}', "config field 'epochs' must be >= 0, got -1"),
+    ("train", '{"seed": -2}', "config field 'seed' must be >= 0, got -2"),
+    ("train", '{"steps": -1}', "config field 'steps' must be >= 0, got -1"),
+    ("train", '{"d": 0}', "config field 'd' must be >= 1, got 0"),
+    ("train", '{"lr": 0}', "config field 'lr' must be finite and > 0, got 0"),
+    ("train", '{"lr": -0.001}', "config field 'lr' must be finite and > 0, got -0.001"),
+    ("train", '{"lr": NaN}', "config field 'lr' must be finite and > 0, got nan"),
+    ("train", '{"lr": Infinity}', "config field 'lr' must be finite and > 0, got inf"),
 ], ids=["config-not-object", "manifest-not-object", "config-truncated",
         "manifest-truncated", "manifest-list", "manifest-unknown-field",
         "manifest-str-rounds", "manifest-float-split", "manifest-too-many-objects",
         "manifest-too-few-objects", "manifest-zero-grid", "manifest-negative-seed",
         "manifest-too-many-rounds", "manifest-too-many-candidates",
-        "manifest-removed-field", "generation-fails", "config-is-directory"])
+        "manifest-removed-field", "generation-fails", "config-is-directory",
+        "config-removed-fields", "config-negative-epochs", "config-negative-seed",
+        "config-negative-steps", "config-zero-d", "config-zero-lr", "config-negative-lr",
+        "config-nan-lr", "config-infinite-lr"])
 def test_malformed_input_file_rejected(tmp_path, corpus_dir, capsys, command, text,
                                        expected):
     # file-level faults name the file; field-level faults name the field;
@@ -305,7 +358,25 @@ class TestEvalCommand:
         (lambda line: json.dumps({**json.loads(line), "gt": -1}), "gt -1 outside [0, 6)"),
         (lambda line: line[: len(line) // 2], "line 1 column"),
         (lambda line: line[: line.index(",") + 1], "line 1 column"),
-    ], ids=["no_gt", "gt_too_large", "gt_negative", "truncated_json", "cut_after_comma"])
+        (lambda line: with_scene(line, lambda s: s["objects"][0].update(cat="unicorn")),
+         "scene object 0 {'cat': 'unicorn', "),
+        (lambda line: with_scene(line, lambda s: s["objects"][1].update(color="teal")),
+         "'color': 'teal', 'size': "),
+        (lambda line: with_scene(line, lambda s: s["objects"][0].update(size=3)),
+         "'size': 3}"),
+        (lambda line: with_scene(line, lambda s: s.update(objects=[])),
+         "scene has no objects"),
+        (lambda line: with_scene(line, lambda s: s["objects"][0].update(cell=[1])),
+         "'cell': [1], 'color': "),
+        (lambda line: with_scene(line, lambda s: s["objects"][2].update(cell=[0, True])),
+         "needs a known cat, color and size and a cell of two integers in [0, 4)"),
+        (lambda line: with_scene(line, lambda s: s["objects"][0].update(cell=[0, 4])),
+         "'cell': [0, 4], 'color': "),
+        (lambda line: with_scene(line, lambda s: s.update(grid="4")),
+         "scene grid '4' is not an integer >= 1"),
+    ], ids=["no_gt", "gt_too_large", "gt_negative", "truncated_json", "cut_after_comma",
+            "unknown_cat", "unknown_color", "unknown_size", "no_objects", "short_cell",
+            "bool_cell", "cell_off_grid", "str_grid"])
     def test_malformed_corpus_line_named(self, trained, corpus_dir, tmp_path, capsys,
                                          mutate, expected):
         out, _ = trained
@@ -373,6 +444,8 @@ class TestCheckpointFile:
 
     @pytest.mark.parametrize("edit,expected", [
         (lambda meta: meta["config"].update(out_dir=""), "unknown config fields: ['out_dir']"),
+        (lambda meta: meta["config"].update(accum_rounds=1, vocab_min_count=1),
+         "unknown config fields: ['accum_rounds', 'vocab_min_count']"),
         (lambda meta: meta.pop("config"), "metadata lacks field 'config'"),
         (lambda meta: meta.pop("vocab"), "metadata lacks field 'vocab'"),
         (lambda meta: meta.pop("optim"), "metadata lacks field 'optim'"),
@@ -386,8 +459,8 @@ class TestCheckpointFile:
         (lambda meta: meta["params"][0][1].__setitem__(0, 2.0), BAD_PARAMS),
         (lambda meta: meta["params"][0][1].__setitem__(0, True), BAD_PARAMS),
         (lambda meta: meta["params"][1].__setitem__(0, meta["params"][0][0]), BAD_PARAMS),
-    ], ids=["stored-out_dir", "no-config", "no-vocab", "no-optim", "no-optim-epoch",
-            "no-params", "params-not-list", "entry-not-pair", "entry-too-long",
+    ], ids=["stored-out_dir", "stored-removed-fields", "no-config", "no-vocab", "no-optim",
+            "no-optim-epoch", "no-params", "params-not-list", "entry-not-pair", "entry-too-long",
             "name-not-str", "negative-dim", "float-dim", "bool-dim", "duplicate-name"])
     def test_bad_metadata_names_file(self, trained, tmp_path, edit, expected):
         bad = self.with_edited_metadata(trained, tmp_path, edit)
@@ -476,6 +549,67 @@ class TestCheckpointFile:
             ckpt.optim.base_lr, ckpt.optim.step_count, 7)
 
 
+class TestAtomicWrites:
+    def test_failed_write_keeps_old_bytes_and_no_temp_file(self, tmp_path):
+        path = tmp_path / "artifact.json"
+        path.write_text("old contents\n")
+        with pytest.raises(RuntimeError, match="killed"):
+            with atomic_open(path) as fh:
+                fh.write("new partial")
+                fh.flush()
+                raise RuntimeError("killed")
+        assert path.read_text() == "old contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact.json"]
+
+    def test_completed_write_replaces_file(self, tmp_path):
+        path = tmp_path / "artifact.bin"
+        path.write_bytes(b"old")
+        with atomic_open(path, "wb") as fh:
+            fh.write(b"new")
+        assert path.read_bytes() == b"new"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact.bin"]
+
+    def test_corpus_write_failing_partway_keeps_previous_split(self, tmp_path, tiny_corpus,
+                                                               tiny_manifest, monkeypatch):
+        import cag.synthdial as S
+        out = tmp_path / "corpus"
+        S.save_corpus(tiny_corpus, tiny_manifest, out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        written = []
+
+        def fail_on_third(inst):
+            if len(written) == 2:
+                raise RuntimeError("killed")
+            written.append(inst)
+            return {"id": -1}
+
+        monkeypatch.setattr(S, "instance_to_dict", fail_on_third)
+        with pytest.raises(RuntimeError, match="killed"):
+            S.save_corpus(tiny_corpus, tiny_manifest, out, force=True)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_checkpoint_write_failing_partway_keeps_previous_file(self, trained, tmp_path,
+                                                                  monkeypatch):
+        out, _ = trained
+        ckpt = load_checkpoint(out / "best.ckpt")
+        path = tmp_path / "best.ckpt"
+        path.write_bytes((out / "best.ckpt").read_bytes())
+        import types
+
+        import cag.checkpoint as C
+
+        def killed(data):
+            raise RuntimeError("killed")
+
+        # the digest is computed after the body is written
+        monkeypatch.setattr(C, "hashlib", types.SimpleNamespace(sha256=killed))
+        with pytest.raises(RuntimeError, match="killed"):
+            save_checkpoint(path, ckpt.params_state, ckpt.optim, ckpt.vocab, ckpt.config)
+        monkeypatch.undo()
+        assert path.read_bytes() == (out / "best.ckpt").read_bytes()
+        assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
+
+
 class TestTraceCommand:
     def test_trace_contents(self, trained, corpus_dir, tmp_path, tiny_corpus):
         out, cfg = trained
@@ -498,6 +632,21 @@ class TestTraceCommand:
         assert sum(doc["alpha_h"]) == pytest.approx(1.0, abs=1e-9)
         assert doc["predicted_rank"] >= 1
         assert len(doc["logits"]) == 6
+
+    def test_pipe_is_written_through_not_replaced(self, trained, tmp_path, tiny_corpus):
+        out, _ = trained
+        dialog_id = tiny_corpus["val"][0].dialog_id
+        fifo = tmp_path / "trace.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert main(["trace", "--ckpt", str(out / "best.ckpt"),
+                     "--dialog", str(dialog_id), "--out", str(fifo)]) == 0
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert json.loads(got[0])["dialog_id"] == dialog_id
 
     def test_unknown_dialog_rejected(self, trained, capsys):
         out, _ = trained

@@ -57,11 +57,6 @@ class TestVocab:
         for tok in v.id_to_token[2:]:
             assert v.id_to_token[v.token_to_id[tok]] == tok
 
-    def test_min_count_filters(self):
-        v = Vocab.build([["a", "a", "b"]], min_count=2)
-        assert "a" in v.token_to_id and "b" not in v.token_to_id
-        assert v.encode(["b"]) == [v.UNK]
-
     def test_encode_truncates(self):
         v = Vocab.build([["a", "b", "c"]])
         assert len(v.encode(["a", "b", "c"], max_len=2)) == 2

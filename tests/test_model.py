@@ -40,18 +40,12 @@ class TestForward:
         assert res.trace.alpha_h.sum() == pytest.approx(1.0, abs=1e-12)
         assert res.trace.alpha_g.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_training_mode_needs_rng_when_dropout_on(self, setup):
-        cfg, _, params, encoded = setup
-        model = Model(params, tiny_run_config(dropout=0.3))
-        with pytest.raises(ValueError, match="rng"):
-            model.forward(encoded[0], training=True)
-
     def test_dropout_changes_training_forward_only(self, setup):
         cfg, _, params, encoded = setup
         model = Model(params, tiny_run_config(dropout=0.3))
         rng = np.random.default_rng(0)
-        a = model.forward(encoded[0], training=True, drop_rng=rng).logits.data
-        b = model.forward(encoded[0], training=True, drop_rng=rng).logits.data
+        a = model.forward(encoded[0], drop_rng=rng).logits.data
+        b = model.forward(encoded[0], drop_rng=rng).logits.data
         assert not np.array_equal(a, b)
         c = model.forward(encoded[0]).logits.data
         d = model.forward(encoded[0]).logits.data

@@ -18,7 +18,6 @@ from cag.tensor import (
     matmul,
     mul,
     no_grad,
-    scale,
     sigmoid,
     softmax_cross_entropy,
     take_col,
@@ -205,7 +204,7 @@ class TestBackward:
     def test_diamond_graph_accumulates_additively(self):
         # loss = (x*x) + (3x) has gradient 2x + 3
         x = Tensor(np.array(2.0), requires_grad=True)
-        loss = add(mul(x, x), scale(x, 3.0)).sum()
+        loss = add(mul(x, x), mul(x, constant(3.0))).sum()
         backward(loss, params=[x])
         assert x.grad == pytest.approx(2 * 2.0 + 3.0)
 
@@ -224,7 +223,7 @@ class TestBackward:
     def test_grads_accumulate_across_passes_until_zeroed(self):
         x = Tensor(np.array(1.0), requires_grad=True)
         for _ in range(2):
-            backward(scale(x, 2.0).sum())
+            backward(mul(x, constant(2.0)).sum())
         assert x.grad == pytest.approx(4.0)
         zero_grad([x])
         assert x.grad == pytest.approx(0.0)

@@ -51,7 +51,7 @@ class TestTrain:
     def test_zero_epochs_emits_initial_snapshot_with_no_rows(self, tiny_corpus):
         cfg = tiny_run_config(epochs=0)
         model, _, result, _ = train(tiny_corpus["train"], tiny_corpus["val"], cfg)
-        assert result.log_rows == []
+        assert result.log_rows == [] and result.best_epoch is None
         assert result.best_params is not None
         current = model.params.state_dict()
         assert all(np.array_equal(result.best_params[k], current[k]) for k in current)
@@ -70,13 +70,15 @@ class TestTrain:
         assert result.best_mrr == best
         assert result.log_rows[result.best_epoch]["MRR"] == best
 
-    def test_gradient_accumulation_changes_step_count_not_determinism(self, tiny_corpus):
-        cfg = tiny_run_config(epochs=1, seed=9, accum_rounds=3)
-        _, optim, result, _ = train(tiny_corpus["train"], [], cfg)
-        expected_steps = int(np.ceil(len(tiny_corpus["train"]) / 3))
-        assert optim.step_count == expected_steps
-        _, _, again, _ = train(tiny_corpus["train"], [], cfg)
-        assert again.log_rows == result.log_rows
+    def test_without_val_split_snapshot_is_final_epoch(self, tiny_corpus):
+        cfg = tiny_run_config(epochs=2, seed=9)
+        model, optim, result, _ = train(tiny_corpus["train"], [], cfg)
+        assert result.best_epoch == 1 and result.best_mrr == float("-inf")
+        current = model.params.state_dict()
+        assert all(np.array_equal(result.best_params[k], current[k]) for k in current)
+        assert result.best_optim.epoch == 1
+        # one Adam step per training dialog
+        assert result.best_optim.step_count == optim.step_count == 2 * len(tiny_corpus["train"])
 
 
 class TestEvaluate:
