@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 VARIANTS = ("cag", "dualq")
 ABLATIONS = ("no_infer", "no_u", "no_q_att", "no_g_att")
 
-# token truncation lengths: caption / question / answer
+# token truncation lengths: caption / question
 MAX_CAPTION_TOKENS = 40
 MAX_QUESTION_TOKENS = 20
-MAX_ANSWER_TOKENS = 20
 
 # field annotation -> check on its value; bool is an int subclass, so the
 # numeric checks refuse it by name

@@ -21,7 +21,9 @@ _identity: Drop = lambda x: x
 
 @dataclass
 class Vocab:
-    """Token <-> id mapping with reserved PAD=0 and UNK=1."""
+    """Token <-> id mapping with reserved PAD=0 and UNK=1. No sequence is
+    padded: the PAD slot only keeps the embedding table's shape and initial
+    draws, and the corpus loader refuses both reserved tokens."""
 
     id_to_token: list[str]
     token_to_id: dict[str, int] = field(init=False)
@@ -50,8 +52,8 @@ class Vocab:
 
 
 def embed_tokens(ids: Sequence[int], table: Tensor) -> Tensor:
-    """(d_w, m) column per token id; PAD columns are zero."""
-    return T.embedding_cols(table, ids, pad_id=Vocab.PAD)
+    """(d_w, m) column per token id."""
+    return T.embedding_cols(table, ids)
 
 
 # ---------------------------------------------------------------------------
@@ -82,42 +84,29 @@ class LSTMParams:
         yield f"{prefix}.b", self.b
 
 
-def lstm_encode(seq: Tensor, params: LSTMParams, valid: np.ndarray | None = None) -> Tensor:
+def lstm_encode(seq: Tensor, params: LSTMParams) -> Tensor:
     """Hidden sequence (d, m) for an input sequence (d_in, m).
 
-    Initial hidden and cell states are zero. Positions where ``valid`` is
-    False (padding) carry the previous state forward unchanged. The run is
-    one fused tape node (:func:`cag.tensor.lstm_sequence`).
+    Initial hidden and cell states are zero. The run is one fused tape node
+    (:func:`cag.tensor.lstm_sequence`).
     """
-    if valid is None:
-        valid = np.ones(seq.data.shape[-1], dtype=bool)
-    return T.lstm_sequence(seq, params.w_x, params.w_h, params.b, valid)
-
-
-def last_valid_column(hiddens: Tensor, valid: np.ndarray) -> Tensor:
-    """Sentence vector: hidden state at the last non-PAD position."""
-    idx = np.flatnonzero(valid)
-    if idx.size == 0:
-        raise ValueError("sequence has no valid (non-PAD) position")
-    return T.take_col(hiddens, int(idx[-1]))
+    return T.lstm_sequence(seq, params.w_x, params.w_h, params.b)
 
 
 @dataclass
 class EncodedQuestion:
     word_embs: Tensor   # (d_w, m)
     hiddens: Tensor     # (d, m)
-    sentence: Tensor    # (d, 1), hidden state at the last valid position
-    valid: np.ndarray   # (m,) bool
+    sentence: Tensor    # (d, 1), hidden state at the last position
 
 
 def encode_question(ids: Sequence[int], table: Tensor, params: LSTMParams) -> EncodedQuestion:
     """Embed, LSTM-encode and summarize one token sequence; the sentence
-    path shared by the question, every history round and every candidate."""
-    ids = list(ids)
-    valid = np.array([i != Vocab.PAD for i in ids], dtype=bool)
+    path shared by the question, every history round and every candidate.
+    Sequences are never padded (the corpus loader refuses ``<pad>``)."""
     embs = embed_tokens(ids, table)
-    hid = lstm_encode(embs, params, valid)
-    return EncodedQuestion(embs, hid, last_valid_column(hid, valid), valid)
+    hid = lstm_encode(embs, params)
+    return EncodedQuestion(embs, hid, T.take_col(hid, hid.data.shape[1] - 1))
 
 
 def encode_history(round_ids: Sequence[Sequence[int]], table: Tensor,
@@ -153,7 +142,7 @@ def history_attention(q_sent: Tensor, memory: Tensor, w_q: Tensor,
 
 @dataclass
 class QuestionCommand:
-    alpha: Tensor   # (1, m) word attention, PAD positions exactly zero
+    alpha: Tensor   # (1, m) word attention
     vector: Tensor  # (d_w, 1) attention-weighted word embedding
 
 
@@ -183,13 +172,13 @@ def question_command(question: EncodedQuestion, params: StepAttentionParams,
 
     A tanh/sigmoid gate pair re-embeds the hidden sequence, each word's
     feature column is scaled to unit norm, and the resulting scores are
-    softmaxed over non-PAD words. The command vector is the attention-
+    softmaxed over the words. The command vector is the attention-
     weighted sum of the raw word embeddings.
     """
     gated = T.tanh(params.gate_tanh @ question.hiddens) * T.sigmoid(
         params.gate_sig @ question.hiddens)
     z = T.l2_normalize(gated, axis=0)
     scores = params.score @ drop(z)
-    alpha = T.masked_softmax(scores, question.valid[None, :], axis=1)
+    alpha = T.masked_softmax(scores, np.ones(scores.shape, dtype=bool), axis=1)
     vector = question.word_embs @ T.transpose(alpha)
     return QuestionCommand(alpha=alpha, vector=vector)

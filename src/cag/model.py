@@ -9,8 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
-from .config import (MAX_ANSWER_TOKENS, MAX_CAPTION_TOKENS,
-                     MAX_QUESTION_TOKENS, RunConfig)
+from .config import MAX_CAPTION_TOKENS, MAX_QUESTION_TOKENS, RunConfig
 from .decoder import score_candidates
 from .encoders import (LSTMParams, QuestionCommand, StepAttentionParams,
                        Vocab, encode_history, encode_question,
@@ -123,15 +122,14 @@ def encode_instance(inst: DialogInstance, vocab: Vocab) -> EncodedInstance:
     rounds = []
     for r in inst.history:
         rounds.append(vocab.encode(r.question, MAX_QUESTION_TOKENS)
-                      + vocab.encode([r.answer], MAX_ANSWER_TOKENS))
+                      + vocab.encode([r.answer]))
     return EncodedInstance(
         dialog_id=inst.dialog_id,
         features=inst.scene.features(),
         caption_ids=vocab.encode(inst.caption, MAX_CAPTION_TOKENS),
         round_ids=rounds,
         question_ids=vocab.encode(inst.current.question, MAX_QUESTION_TOKENS),
-        candidate_ids=[tuple(vocab.encode([c], MAX_ANSWER_TOKENS))
-                       for c in inst.candidates],
+        candidate_ids=[tuple(vocab.encode([c])) for c in inst.candidates],
         gt=inst.gt,
     )
 
@@ -190,10 +188,10 @@ class Model:
 
         if "no_q_att" in cfg.ablations:
             shared = p.cmd_from_sentence @ question.sentence
-            uniform = question.valid / question.valid.sum()
+            uniform = np.full((1, len(enc.question_ids)), 1.0 / len(enc.question_ids))
 
             def command_fn(t: int) -> QuestionCommand:
-                return QuestionCommand(T.constant(uniform[None, :]), shared)
+                return QuestionCommand(T.constant(uniform), shared)
         else:
             def command_fn(t: int) -> QuestionCommand:
                 return question_command(question, p.step_attention[t - 1], drop)

@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import JsonRecord, atomic_open
+from .encoders import PAD_TOKEN, UNK_TOKEN
 
 CATEGORIES = ("person", "dog", "cat", "car", "tree", "ball")
 COLORS = ("red", "blue", "green", "yellow", "black", "white")
@@ -470,6 +471,9 @@ def generate_dialog(scene: Scene, rng: np.random.Generator, rounds: int,
 # ---------------------------------------------------------------------------
 
 
+SPLIT_ORDER = ("train", "val", "test")
+
+
 @dataclass
 class CorpusManifest(JsonRecord):
     KIND = "manifest"
@@ -484,8 +488,9 @@ class CorpusManifest(JsonRecord):
     def __post_init__(self) -> None:
         super().__post_init__()
         for name, count in self.splits.items():
-            if name not in ("train", "val", "test") or count < 0:
-                raise ValueError(f"bad split {name}={count}")
+            if name not in SPLIT_ORDER or count < 0:
+                raise ValueError(f"manifest field 'splits' must map 'train', 'val' or "
+                                 f"'test' to a count >= 0, got {name!r}: {count}")
         if not MIN_OBJECTS <= self.n_objects <= MAX_OBJECTS:
             raise ValueError(f"manifest field 'n_objects' must be in "
                              f"[{MIN_OBJECTS}, {MAX_OBJECTS}], got {self.n_objects}")
@@ -499,9 +504,6 @@ class CorpusManifest(JsonRecord):
             raise ValueError(f"manifest field 'grid' must be >= 1, got {self.grid}")
         if self.seed < 0:
             raise ValueError(f"manifest field 'seed' must be >= 0, got {self.seed}")
-
-
-SPLIT_ORDER = ("train", "val", "test")
 
 
 def generate_corpus(manifest: CorpusManifest) -> dict[str, list[DialogInstance]]:
@@ -547,7 +549,31 @@ def instance_to_dict(inst: DialogInstance) -> dict:
     }
 
 
+def _check_tokens(caption, question, history, candidates) -> None:
+    """Caption, question and history questions are non-empty token lists,
+    history answers and candidates lists of one token, and a token is a
+    string other than the reserved ones: no encoded sequence is empty or
+    holds PAD. One pass over the line, as every loaded line runs it."""
+    if type(candidates) is not list or type(history) is not list or not all(
+            type(r) is list and len(r) == 2 for r in history):
+        raise ValueError("history must be a list of [question, answer] pairs "
+                         "and candidates a list")
+    sents = [caption, question, *(q for q, _ in history)]
+    words = [*(a for _, a in history), *candidates]
+    bad = ([s for s in sents if type(s) is not list or not s]
+           + [w for w in words if type(w) is not list or len(w) != 1])
+    if bad:
+        raise ValueError(f"token list {bad[0]!r}: caption, question and history questions "
+                         "need one or more tokens, history answers and candidates one")
+    reserved = (PAD_TOKEN, UNK_TOKEN)
+    bad = [t for s in sents + words for t in s if type(t) is not str or t in reserved]
+    if bad:
+        raise ValueError(f"token {bad[0]!r}: a token is a string other than "
+                         f"{PAD_TOKEN!r} and {UNK_TOKEN!r}")
+
+
 def instance_from_dict(data: dict) -> DialogInstance:
+    _check_tokens(data["caption"], data["question"], data["history"], data["candidates"])
     gt, n_cand = data["gt"], len(data["candidates"])
     if type(gt) is not int or not 0 <= gt < n_cand:
         raise ValueError(f"gt {gt!r} outside [0, {n_cand})")

@@ -351,11 +351,8 @@ def softmax_cross_entropy(logits: Tensor, target: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def embedding_cols(table: Tensor, ids: Sequence[int], pad_id: int = 0) -> Tensor:
-    """Columns of word vectors for ``ids``: column j is table row ids[j].
-
-    PAD columns are exactly zero and receive no gradient.
-    """
+def embedding_cols(table: Tensor, ids: Sequence[int]) -> Tensor:
+    """Columns of word vectors for ``ids``: column j is table row ids[j]."""
     ids = np.asarray(ids, dtype=np.intp)
     vocab = table.data.shape[0]
     if ids.size == 0:
@@ -363,14 +360,12 @@ def embedding_cols(table: Tensor, ids: Sequence[int], pad_id: int = 0) -> Tensor
     if (ids < 0).any() or (ids >= vocab).any():
         bad = ids[(ids < 0) | (ids >= vocab)][0]
         raise ValueError(f"embedding_cols: id {bad} out of range for vocab size {vocab}")
-    valid = ids != pad_id
     out = table.data[ids].T.copy()
-    out[:, ~valid] = 0.0
     tshape = table.data.shape
 
     def bw(g):
         gt = np.zeros(tshape)
-        np.add.at(gt, ids[valid], g[:, valid].T)
+        np.add.at(gt, ids, g.T)
         _accum(table, gt)
 
     return _out(out, (table,), bw)
@@ -381,14 +376,12 @@ def embedding_cols(table: Tensor, ids: Sequence[int], pad_id: int = 0) -> Tensor
 # ---------------------------------------------------------------------------
 
 
-def lstm_sequence(seq: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor,
-                  valid: np.ndarray) -> Tensor:
+def lstm_sequence(seq: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
     """Hidden states (d, m) of a single-layer LSTM run over the columns of ``seq``.
 
     Gates are stacked [input, forget, cell, output] along the rows of ``w_x``
     (4d, d_in), ``w_h`` (4d, d) and ``b`` (4d, 1). Hidden and cell states
-    start at zero; a position where ``valid`` is False repeats the previous
-    state, and with no valid position the result is a zero constant.
+    start at zero.
 
     The run records one tape node whose backward is hand-written BPTT. Both
     directions evaluate the expressions, operand shapes and accumulation
@@ -397,19 +390,14 @@ def lstm_sequence(seq: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor,
     equal that composition bit for bit.
     """
     xs, wx, wh, bd = seq.data, w_x.data, w_h.data, b.data
-    valid = np.asarray(valid, dtype=bool)
     d = wh.shape[-1]
-    if (xs.ndim != 2 or xs.shape[1] < 1 or valid.shape != xs.shape[1:]
+    if (xs.ndim != 2 or xs.shape[1] < 1
             or wx.shape != (4 * d, xs.shape[0]) or wh.shape != (4 * d, d)
             or bd.shape != (4 * d, 1)):
         raise ShapeError(
-            f"lstm_sequence: seq {xs.shape}, valid {valid.shape}, w_x {wx.shape}, "
+            f"lstm_sequence: seq {xs.shape}, w_x {wx.shape}, "
             f"w_h {wh.shape}, b {bd.shape} do not conform")
     m = xs.shape[1]
-    steps = [int(t) for t in np.flatnonzero(valid)]
-    if not steps:
-        return constant(np.zeros((d, m)))
-    ends = steps[1:] + [m]  # the state of step k fills positions steps[k]:ends[k]
     parents = (seq, w_x, w_h, b)
     record = _grad_enabled and any(p.requires_grad for p in parents)
 
@@ -417,7 +405,7 @@ def lstm_sequence(seq: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor,
     h = np.zeros((d, 1))
     c = np.zeros((d, 1))
     cache = []
-    for t, end in zip(steps, ends):
+    for t in range(m):
         x = xs[:, t : t + 1].copy()
         pre = wx @ x + wh @ h + bd
         i = _sigmoid(pre[:d])
@@ -428,20 +416,17 @@ def lstm_sequence(seq: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor,
         c = f * c + i * g
         tc = np.tanh(c)
         h = o * tc
-        out[:, t:end] = h
+        out[:, t : t + 1] = h
         if record:
             cache.append((x, h_prev, c_prev, i, f, g, o, tc))
 
     def bw(gout):
         dseq = np.zeros(xs.shape) if seq.requires_grad else None
-        dh_rec = dc_rec = None  # gradients reaching step k's state from step k+1
-        for k in range(len(steps) - 1, -1, -1):
-            x, h_prev, c_prev, i, f, g, o, tc = cache[k]
-            t = steps[k]
-            # output columns in position order, then the recurrent term
+        dh_rec = dc_rec = None  # gradients reaching step t's state from step t+1
+        for t in range(m - 1, -1, -1):
+            x, h_prev, c_prev, i, f, g, o, tc = cache[t]
+            # the output column, then the recurrent term
             dh = gout[:, t : t + 1]
-            for p in range(t + 1, ends[k]):
-                dh = dh + gout[:, p : p + 1]
             if dh_rec is not None:
                 dh = dh + dh_rec
             dc = (dh * o) * (1.0 - tc * tc)
@@ -460,7 +445,7 @@ def lstm_sequence(seq: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor,
             _accum(w_h, dpre @ h_prev.T)
             if dseq is not None:
                 dseq[:, t : t + 1] = wx.T @ dpre
-            if k:
+            if t:
                 dh_rec = wh.T @ dpre
                 dc_rec = dc * f
         if dseq is not None:

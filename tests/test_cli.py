@@ -25,9 +25,21 @@ def file_hash(path):
 
 def with_scene(line, edit):
     """A corpus line with ``edit`` applied to its scene."""
+    return with_line(line, lambda data: edit(data["scene"]))
+
+
+def with_line(line, edit):
+    """A corpus line with ``edit`` applied to its parsed object."""
     data = json.loads(line)
-    edit(data["scene"])
+    edit(data)
     return json.dumps(data)
+
+
+def copy_corpus(src, dst):
+    dst.mkdir()
+    for f in src.iterdir():
+        (dst / f.name).write_bytes(f.read_bytes())
+    return dst
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +206,23 @@ class TestTrainCommand:
         assert not any("MRR" in line for line in printed)
         assert load_checkpoint(out / "best.ckpt").optim.epoch == 1
 
+    def test_pad_token_in_train_split_named(self, tmp_path, corpus_dir, capsys):
+        # used to reach the vocab and fail as "vocab tokens must be unique"
+        bad = copy_corpus(corpus_dir, tmp_path / "corpus")
+        lines = (bad / "train.jsonl").read_text().splitlines()
+        lines[1] = with_line(lines[1], lambda d: d["question"].insert(0, "<pad>"))
+        (bad / "train.jsonl").write_text("\n".join(lines) + "\n")
+        cfg_path = write_config(tmp_path / "c.json", tiny_run_config())
+        rc = main(["train", "--config", cfg_path, "--corpus", str(bad),
+                   "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert [l for l in err.splitlines() if l.startswith("error:")] == [
+            f"error: {bad / 'train.jsonl'}:2: token '<pad>': a token is a string "
+            "other than '<pad>' and '<unk>'"]
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
     def test_dim_mismatch_rejected(self, tmp_path, corpus_dir, capsys):
         cfg_path = write_config(tmp_path / "c.json", tiny_run_config(d_v=9))
         rc = main(["train", "--config", cfg_path, "--corpus", str(corpus_dir),
@@ -237,6 +266,12 @@ class TestTrainCommand:
     ("gen", '{"rounds": "4"}', "manifest field 'rounds' must be int, got '4'"),
     ("gen", '{"splits": {"train": 2.5}}',
      "manifest field 'splits' must be dict[str, int], got {'train': 2.5}"),
+    ("gen", '{"splits": {"train": -1}}',
+     "manifest field 'splits' must map 'train', 'val' or 'test' to a count >= 0, "
+     "got 'train': -1"),
+    ("gen", '{"splits": {"dev": 3}}',
+     "manifest field 'splits' must map 'train', 'val' or 'test' to a count >= 0, "
+     "got 'dev': 3"),
     ("gen", '{"n_objects": 100}', "manifest field 'n_objects' must be in [3, 16], got 100"),
     ("gen", '{"n_objects": 2}', "manifest field 'n_objects' must be in [3, 16], got 2"),
     ("gen", '{"grid": 0}', "manifest field 'grid' must be >= 1, got 0"),
@@ -264,7 +299,8 @@ class TestTrainCommand:
     ("train", '{"lr": Infinity}', "config field 'lr' must be finite and > 0, got inf"),
 ], ids=["config-not-object", "manifest-not-object", "config-truncated",
         "manifest-truncated", "manifest-list", "manifest-unknown-field",
-        "manifest-str-rounds", "manifest-float-split", "manifest-too-many-objects",
+        "manifest-str-rounds", "manifest-float-split", "manifest-negative-split",
+        "manifest-unknown-split", "manifest-too-many-objects",
         "manifest-too-few-objects", "manifest-zero-grid", "manifest-negative-seed",
         "manifest-too-many-rounds", "manifest-too-many-candidates",
         "manifest-removed-field", "generation-fails", "config-is-directory",
@@ -374,16 +410,33 @@ class TestEvalCommand:
          "'cell': [0, 4], 'color': "),
         (lambda line: with_scene(line, lambda s: s.update(grid="4")),
          "scene grid '4' is not an integer >= 1"),
+        # token lists: a string used to load as one token per character
+        (lambda line: with_line(line, lambda d: d.update(question=" ".join(d["question"]))),
+         "token list 'what color is he': caption, question and history questions need "
+         "one or more tokens"),
+        (lambda line: with_line(line, lambda d: d["candidates"].__setitem__(0, "yellowzz")),
+         "token list 'yellowzz': "),
+        (lambda line: with_line(line, lambda d: d["candidates"][0].append("red")),
+         "token list ['yellow', 'red']: "),
+        (lambda line: with_line(line, lambda d: d["history"][0][1].append("big")),
+         "token list ['big', 'big']: "),
+        (lambda line: with_line(line, lambda d: d.update(caption=[])), "token list []: "),
+        (lambda line: with_line(line, lambda d: d.update(question=[])), "token list []: "),
+        (lambda line: with_line(line, lambda d: d["question"].insert(0, "<pad>")),
+         "token '<pad>': a token is a string other than '<pad>' and '<unk>'"),
+        (lambda line: with_line(line, lambda d: d["caption"].__setitem__(1, "<unk>")),
+         "token '<unk>': "),
+        (lambda line: with_line(line, lambda d: d["question"].__setitem__(0, ["what"])),
+         "token ['what']: a token is a string"),
     ], ids=["no_gt", "gt_too_large", "gt_negative", "truncated_json", "cut_after_comma",
             "unknown_cat", "unknown_color", "unknown_size", "no_objects", "short_cell",
-            "bool_cell", "cell_off_grid", "str_grid"])
+            "bool_cell", "cell_off_grid", "str_grid", "str_question", "str_candidate",
+            "two_token_candidate", "two_token_history_answer", "empty_caption",
+            "empty_question", "pad_in_question", "unk_in_caption", "list_token"])
     def test_malformed_corpus_line_named(self, trained, corpus_dir, tmp_path, capsys,
                                          mutate, expected):
         out, _ = trained
-        bad = tmp_path / "corpus"
-        bad.mkdir()
-        for f in corpus_dir.iterdir():
-            (bad / f.name).write_bytes(f.read_bytes())
+        bad = copy_corpus(corpus_dir, tmp_path / "corpus")
         lines = (bad / "val.jsonl").read_text().splitlines()
         lines[1] = mutate(lines[1])
         (bad / "val.jsonl").write_text("\n".join(lines) + "\n")

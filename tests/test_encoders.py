@@ -10,7 +10,6 @@ from cag.encoders import (
     encode_history,
     encode_question,
     history_attention,
-    last_valid_column,
     lstm_encode,
     question_command,
 )
@@ -22,26 +21,23 @@ def np_sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def reference_lstm_encode(seq, params, valid=None):
+def reference_lstm_encode(seq, params):
     """The LSTM as a composition of tape primitives, one node per op: the
     oracle the fused ``lstm_encode`` must match bit for bit."""
     d = params.w_h.data.shape[1]
     m = seq.data.shape[1]
-    if valid is None:
-        valid = np.ones(m, dtype=bool)
     h = T.constant(np.zeros((d, 1)))
     c = T.constant(np.zeros((d, 1)))
     cols = []
     for t in range(m):
-        if valid[t]:
-            x = T.take_col(seq, t)
-            pre = params.w_x @ x + params.w_h @ h + params.b
-            i = T.sigmoid(T.take_rows(pre, 0, d))
-            f = T.sigmoid(T.take_rows(pre, d, 2 * d))
-            g = T.tanh(T.take_rows(pre, 2 * d, 3 * d))
-            o = T.sigmoid(T.take_rows(pre, 3 * d, 4 * d))
-            c = f * c + i * g
-            h = o * T.tanh(c)
+        x = T.take_col(seq, t)
+        pre = params.w_x @ x + params.w_h @ h + params.b
+        i = T.sigmoid(T.take_rows(pre, 0, d))
+        f = T.sigmoid(T.take_rows(pre, d, 2 * d))
+        g = T.tanh(T.take_rows(pre, 2 * d, 3 * d))
+        o = T.sigmoid(T.take_rows(pre, 3 * d, 4 * d))
+        c = f * c + i * g
+        h = o * T.tanh(c)
         cols.append(h)
     return T.concat(cols, axis=1) if m > 1 else cols[0]
 
@@ -99,7 +95,7 @@ class TestLSTM:
         rng = np.random.default_rng(18)
         p = LSTMParams.init(2, 3, rng)
         seq = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
-        out = lstm_encode(seq, p, np.array([True, False, True, True, False]))
+        out = lstm_encode(seq, p)
         assert out.requires_grad and out._parents == (seq, p.w_x, p.w_h, p.b)
         with T.no_grad():
             out = lstm_encode(seq, p)
@@ -112,16 +108,6 @@ class TestLSTM:
             lstm_encode(constant(np.zeros((2, 0))), p)
         with pytest.raises(T.ShapeError):
             lstm_encode(constant(np.zeros((3, 4))), p)
-        with pytest.raises(T.ShapeError):
-            lstm_encode(constant(np.zeros((2, 4))), p, np.ones(3, dtype=bool))
-
-    def test_pad_positions_carry_state_forward(self):
-        rng = np.random.default_rng(3)
-        p = LSTMParams.init(2, 3, rng)
-        seq = rng.normal(size=(2, 4))
-        valid = np.array([True, True, False, True])
-        out = lstm_encode(constant(seq), p, valid)
-        np.testing.assert_array_equal(out.data[:, 2], out.data[:, 1])
 
     def test_gradient_two_step_d4(self):
         rng = np.random.default_rng(4)
@@ -136,23 +122,6 @@ class TestLSTM:
             loss, [("seq", seq)] + list(p.named("lstm")), step=1e-5, tol=1e-4
         )
         assert report.passed, report.summary()
-
-    def test_gradient_with_pad_mask(self):
-        rng = np.random.default_rng(17)
-        p = LSTMParams.init(3, 4, rng)
-        seq = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
-        valid = np.array([False, True, True, False, True, False])
-        weights = constant(rng.normal(size=(4, 6)))
-
-        def loss():
-            return T.mul(lstm_encode(seq, p, valid), weights).sum()
-
-        report = finite_diff_check(
-            loss, [("seq", seq)] + list(p.named("lstm")), step=1e-5, tol=1e-4
-        )
-        assert report.passed, report.summary()
-        # PAD inputs never enter the recurrence
-        assert not seq.grad[:, ~valid].any()
 
 
 class TestFusedMatchesPerOpReference:
@@ -185,27 +154,17 @@ class TestFusedMatchesPerOpReference:
             if g is not None:
                 assert np.array_equal(g, r)
 
-    @pytest.mark.parametrize("mask", [
-        [True, True, True, True, True, True],
-        [False, False, True, True, True, True],    # leading PAD
-        [True, False, False, True, False, True],   # interior PAD
-        [True, True, True, False, False, False],   # trailing PAD
-        [False, True, False, False, True, False],  # all three
-        [False] * 6,                               # no valid position
-        [True],                                    # m == 1
-        [False],
-    ])
-    def test_single_call(self, mask):
-        rng = np.random.default_rng(sum(1 << i for i, v in enumerate(mask) if v) + len(mask))
+    @pytest.mark.parametrize("m", [1, 2, 6])
+    def test_single_call(self, m):
+        rng = np.random.default_rng(m)
         p = LSTMParams.init(self.D_IN, self.D, rng)
-        valid = np.array(mask)
-        seq = Tensor(rng.normal(size=(self.D_IN, valid.size)), requires_grad=True)
-        weights = constant(rng.normal(size=(self.D, valid.size)))
+        seq = Tensor(rng.normal(size=(self.D_IN, m)), requires_grad=True)
+        weights = constant(rng.normal(size=(self.D, m)))
         leaves = [seq, p.w_x, p.w_h, p.b]
 
         def build(encode):
-            out = encode(seq, p, valid)
-            # the second term keeps the loss on the tape when the run is constant
+            out = encode(seq, p)
+            # seq is also read directly, as question.word_embs is
             return T.mul(out, weights).sum() + T.mul(seq, seq).sum(), [out], []
 
         self._assert_same(build, leaves)
@@ -216,7 +175,7 @@ class TestFusedMatchesPerOpReference:
         rng = np.random.default_rng(41)
         p = LSTMParams.init(self.D_IN, self.D, rng)
         table = Tensor(rng.normal(size=(9, self.D_IN)), requires_grad=True)
-        streams = [[3, 5, 2, 0], [0, 4, 4, 7, 0, 8], [6]]
+        streams = [[3, 5, 2, 1], [2, 4, 4, 7, 1, 8], [6]]
         alpha = constant(rng.normal(size=(1, 4)))
         w_q = constant(rng.normal(size=(self.D, 4)))
         leaves = [table, p.w_x, p.w_h, p.b]
@@ -224,10 +183,9 @@ class TestFusedMatchesPerOpReference:
         def build(encode):
             seqs = [embed_tokens(ids, table) for ids in streams]
             outs, cols = [], []
-            for ids, embs in zip(streams, seqs):
-                valid = np.array([i != Vocab.PAD for i in ids])
-                outs.append(encode(embs, p, valid))
-                cols.append(last_valid_column(outs[-1], valid))
+            for embs in seqs:
+                outs.append(encode(embs, p))
+                cols.append(T.take_col(outs[-1], outs[-1].data.shape[1] - 1))
             direct = seqs[0] @ T.transpose(alpha)
             loss = (T.concat(cols, axis=1).sum() + T.mul(outs[0], w_q).sum()
                     + T.mul(direct, direct).sum())
@@ -290,11 +248,9 @@ class TestHistoryAttention:
             assert (alpha.data >= 0).all()
 
 
-def make_question(rng, d, d_w, m, valid=None):
+def make_question(rng, d, d_w, m):
     table = Tensor(rng.uniform(-0.08, 0.08, size=(10, d_w)), requires_grad=True)
     ids = list(rng.integers(2, 10, size=m))
-    if valid is not None:
-        ids = [i if v else Vocab.PAD for i, v in zip(ids, valid)]
     lstm = LSTMParams.init(d_w, d, rng)
     return encode_question(ids, table, lstm), table, lstm
 
@@ -334,14 +290,6 @@ class TestQuestionCommand:
         np.testing.assert_allclose(cmd.alpha.data, a, rtol=1e-10)
         np.testing.assert_allclose(cmd.vector.data, q.word_embs.data @ a.T, rtol=1e-10)
 
-    def test_pad_positions_get_exactly_zero_attention(self):
-        rng = np.random.default_rng(12)
-        valid = np.array([True, False, True, True])
-        q, _, _ = make_question(rng, d=4, d_w=3, m=4, valid=valid)
-        cmd = question_command(q, StepAttentionParams.init(4, rng))
-        assert cmd.alpha.data[0, 1] == 0.0
-        assert cmd.alpha.data.sum() == pytest.approx(1.0, abs=1e-12)
-
     def test_per_step_parameters_are_independent(self):
         rng = np.random.default_rng(14)
         q, _, _ = make_question(rng, d=4, d_w=3, m=3)
@@ -367,14 +315,11 @@ class TestEncodeHistory:
         with pytest.raises(ValueError):
             encode_history([], table, lstm)
 
-    def test_round_vector_is_last_valid_state(self):
+    def test_round_vector_is_last_state(self):
         rng = np.random.default_rng(16)
         table = Tensor(rng.uniform(-0.08, 0.08, size=(10, 3)), requires_grad=True)
         lstm = LSTMParams.init(3, 4, rng)
-        ids = [2, 5, Vocab.PAD]
+        ids = [2, 5, 7]
         hist = encode_history([ids], table, lstm)
-        hid = lstm_encode(embed_tokens(ids, table), lstm,
-                          np.array([True, True, False]))
-        np.testing.assert_array_equal(
-            hist.data[:, 0], last_valid_column(hid, np.array([True, True, False])).data[:, 0]
-        )
+        hid = lstm_encode(embed_tokens(ids, table), lstm)
+        np.testing.assert_array_equal(hist.data[:, 0], hid.data[:, 2])

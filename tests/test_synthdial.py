@@ -3,7 +3,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cag.model import build_vocab, encode_instance
 from cag.synthdial import (
     CATEGORIES,
     COLORS,
@@ -28,6 +31,7 @@ from cag.synthdial import (
     oracle_answer,
     save_corpus,
 )
+from cag.training import evaluate
 
 
 def small_scene():
@@ -285,3 +289,66 @@ class TestCorpus:
             for inst in split:
                 assert inst.candidates[inst.gt] == oracle_answer(
                     inst.scene, inst.current.form)
+
+
+def field_paths(node, path=()):
+    """Key/index path of every field and sub-field below ``node``."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from field_paths(child, path + (key,))
+
+
+def as_string(v):
+    return " ".join(map(str, v)) if isinstance(v, list) else str(v)
+
+
+def two_elements(v):
+    return [v[0], v[0]] if isinstance(v, list) and v else [v, v]
+
+
+# each replaces one field: literal values, then a string where a list was
+# and a two-element list, both built from the field's own value
+REPLACEMENTS = [lambda v, r=r: r for r in ([], "", "<pad>", "<unk>", 0, -1, 1.5, None, {})]
+REPLACEMENTS += [as_string, two_elements]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestCorpusLineFuzz:
+    """One field of a generated line replaced: the line either fails to load
+    with ``path:line``, or it encodes to non-empty PAD-free id lists that
+    evaluate to finite logits, under the model's vocab and one built from
+    the line itself (as ``cag train`` builds it)."""
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(data=st.data())
+    def test_line_loads_clean_or_fails_named(self, tiny_corpus, tiny_setup, fuzz_dir, data):
+        _, vocab, model, _ = tiny_setup
+        # a copy: instance_to_dict shares the instance's lists
+        line = json.loads(json.dumps(instance_to_dict(
+            data.draw(st.sampled_from(tiny_corpus["val"])))))
+        path = data.draw(st.sampled_from(list(field_paths(line))))
+        replace = data.draw(st.sampled_from(REPLACEMENTS))
+        parent = line
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = replace(parent[path[-1]])
+        split = fuzz_dir / "val.jsonl"
+        split.write_text(json.dumps(line) + "\n")
+        try:
+            (inst,) = load_split(fuzz_dir, "val")
+        except ValueError as exc:
+            assert str(exc).startswith(f"{split}:1: ")
+            return
+        for v in (vocab, build_vocab([inst])):
+            enc = encode_instance(inst, v)
+            seqs = [enc.caption_ids, enc.question_ids, *enc.round_ids,
+                    *map(list, enc.candidate_ids)]
+            assert all(seqs) and not any(0 in s for s in seqs)
+        _, (logits,) = evaluate(model, [encode_instance(inst, vocab)], collect_logits=True)
+        assert np.isfinite(logits).all()

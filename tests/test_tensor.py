@@ -259,21 +259,16 @@ class TestCrossEntropy:
 
 
 class TestEmbeddingCols:
-    def test_pad_column_is_zero(self):
-        table = Tensor(np.random.default_rng(0).normal(size=(5, 3)), requires_grad=True)
-        out = embedding_cols(table, [0], pad_id=0)
-        np.testing.assert_array_equal(out.data, np.zeros((3, 1)))
-
     def test_one_hot_table(self):
         table = constant(np.eye(4))
-        out = embedding_cols(table, [2, 1], pad_id=0)
+        out = embedding_cols(table, [2, 1])
         np.testing.assert_array_equal(out.data, np.eye(4)[:, [2, 1]])
 
     def test_matches_row_lookup_oracle(self):
         rng = np.random.default_rng(3)
         table = constant(rng.normal(size=(8, 5)))
         ids = [3, 1, 7, 3]
-        out = embedding_cols(table, ids, pad_id=0)
+        out = embedding_cols(table, ids)
         for j, i in enumerate(ids):
             np.testing.assert_array_equal(out.data[:, j], table.data[i])
 
@@ -283,7 +278,7 @@ class TestEmbeddingCols:
 
     def test_repeated_ids_accumulate_gradient(self):
         table = Tensor(np.zeros((4, 2)), requires_grad=True)
-        out = embedding_cols(table, [2, 2], pad_id=0)
+        out = embedding_cols(table, [2, 2])
         backward(out.sum(), params=[table])
         np.testing.assert_array_equal(table.grad[2], [2.0, 2.0])
         np.testing.assert_array_equal(table.grad[[0, 1, 3]], np.zeros((3, 2)))
