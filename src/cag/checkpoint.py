@@ -7,7 +7,9 @@ and the sha256 digest of everything before it. The metadata's ``params``
 list of ``[name, shape]`` is the only description of the arrays, in the
 order their bytes follow. Identical inputs produce identical bytes (no
 timestamps), round-trips are bitwise, and the digest catches truncation
-and corruption with a clean error. The file is written atomically.
+and corruption with a clean error. Loading refuses a parameter array that
+holds a NaN or an infinity, so no command runs a model on one. The file is
+written atomically.
 """
 
 from __future__ import annotations
@@ -121,8 +123,11 @@ def load_checkpoint(path) -> Checkpoint:
                               f"but {len(body) - pos} follow the metadata")
     params_state: dict[str, np.ndarray] = {}
     for (name, shape), size in zip(entries, sizes):
-        params_state[name] = np.frombuffer(
-            body, dtype="<f8", count=size, offset=pos).reshape(shape).astype(np.float64)
+        data = np.frombuffer(body, dtype="<f8", count=size, offset=pos)
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"checkpoint {path}: parameter {name!r} holds a "
+                                  f"non-finite value")
+        params_state[name] = data.reshape(shape).astype(np.float64)
         pos += 8 * size
 
     optim = None if optim_meta is None else OptimState(**optim_meta)

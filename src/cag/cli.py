@@ -14,8 +14,6 @@ import os
 import sys
 from collections import Counter
 
-import numpy as np
-
 from . import tensor as T
 from .checkpoint import (CheckpointError, build_model, load_checkpoint,
                          save_checkpoint)
@@ -28,8 +26,6 @@ from .synthdial import (SPLIT_ORDER, CorpusManifest, GenerationError,
 from .training import evaluate, train, validate_corpus
 
 log = logging.getLogger("cag")
-
-SIMPLEX_TOL = 1e-9
 
 
 class CliError(RuntimeError):
@@ -122,56 +118,34 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _simplex(name: str, values: np.ndarray) -> list[float]:
-    total = float(np.sum(values))
-    if abs(total - 1.0) > SIMPLEX_TOL or np.min(values) < 0:
-        raise ValueError(f"trace field {name} is not a probability simplex "
-                         f"(sum={total!r})")
-    return [float(v) for v in values]
-
-
 def build_trace_doc(model, enc, result) -> dict:
-    """Assemble and validate the per-step trace export for one dialog."""
-    cfg = model.cfg
-    n = enc.features.shape[1]
-    k = min(cfg.k_neighbors, n)
+    """Assemble the per-step trace export for one dialog."""
     logits = result.logits.data.reshape(-1)
     steps = []
     for rec in result.trace.steps:
-        if rec.adjacency.shape != (n, n):
-            raise ValueError(f"trace step {rec.step}: adjacency shape "
-                             f"{rec.adjacency.shape} does not match n={n}")
-        if rec.neighbors.shape != (n, k):
-            raise ValueError(f"trace step {rec.step}: neighbor lists shaped "
-                             f"{rec.neighbors.shape}, expected ({n}, {k})")
         _, alpha = graph_attention(T.constant(rec.nodes_after),
                                    T.constant(result.q_sentence), model.params.graph)
         node_att = alpha.data.reshape(-1)
         steps.append({
             "t": rec.step,
-            "alpha_q": _simplex(f"alpha_q[{rec.step}]", rec.alpha_q),
-            "A": [[float(v) for v in row] for row in rec.adjacency],
-            "S": [[int(v) for v in row] for row in rec.neighbors],
-            "B": [_simplex(f"B[{rec.step}][{i}]", row)
-                  for i, row in enumerate(rec.weights)],
-            "M": [[float(v) for v in row] for row in rec.messages],
-            "node_attention": _simplex(f"node_attention[{rec.step}]", node_att),
+            "alpha_q": rec.alpha_q.tolist(),
+            "A": rec.adjacency.tolist(),
+            "S": rec.neighbors.tolist(),
+            "B": rec.weights.tolist(),
+            "M": rec.messages.tolist(),
+            "node_attention": node_att.tolist(),
             "top2": top_attended(node_att, 2),
         })
-    doc = {
+    alpha_h = result.trace.alpha_h
+    return {
         "dialog_id": enc.dialog_id,
         "steps": steps,
-        "alpha_h": (None if result.trace.alpha_h is None
-                    else _simplex("alpha_h", result.trace.alpha_h)),
-        "alpha_g": _simplex("alpha_g", result.trace.alpha_g),
-        "logits": [float(v) for v in logits],
+        "alpha_h": None if alpha_h is None else alpha_h.tolist(),
+        "alpha_g": result.trace.alpha_g.tolist(),
+        "logits": logits.tolist(),
         "predicted_rank": rank_of(logits, enc.gt),
         "gt": enc.gt,
     }
-    if len(doc["steps"]) != cfg.effective_steps:
-        raise ValueError(f"trace has {len(doc['steps'])} step records, expected "
-                         f"{cfg.effective_steps}")
-    return doc
 
 
 def cmd_trace(args) -> int:

@@ -15,10 +15,6 @@ from dataclasses import dataclass, field
 VARIANTS = ("cag", "dualq")
 ABLATIONS = ("no_infer", "no_u", "no_q_att", "no_g_att")
 
-# token truncation lengths: caption / question
-MAX_CAPTION_TOKENS = 40
-MAX_QUESTION_TOKENS = 20
-
 # field annotation -> check on its value; bool is an int subclass, so the
 # numeric checks refuse it by name
 _TYPE_CHECKS = {
@@ -75,8 +71,8 @@ class JsonRecord:
 
     @classmethod
     def from_file(cls, path):
-        """Invalid JSON, or a top-level value that is not an object, is a
-        ValueError naming ``path``."""
+        """Invalid JSON, a top-level value that is not an object, or a bad
+        field is a ValueError naming ``path``."""
         with open(path) as fh:
             try:
                 data = json.load(fh)
@@ -84,7 +80,10 @@ class JsonRecord:
                 raise ValueError(f"{path}: {exc}") from None
         if not isinstance(data, dict):
             raise ValueError(f"{path}: expected a JSON object, got {type(data).__name__}")
-        return cls.from_dict(data)
+        try:
+            return cls.from_dict(data)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass
@@ -116,7 +115,7 @@ class RunConfig(JsonRecord):
             if a not in ABLATIONS:
                 raise ValueError(f"unknown ablation {a!r}; expected among {ABLATIONS}")
         if not (0.0 <= self.dropout < 1.0):
-            raise ValueError(f"dropout ratio must be in [0, 1), got {self.dropout}")
+            raise ValueError(f"config field 'dropout' must be in [0, 1), got {self.dropout}")
         for name, low in (("d", 1), ("d_w", 1), ("d_v", 1), ("k_neighbors", 1),
                           ("steps", 0), ("epochs", 0), ("seed", 0)):
             if getattr(self, name) < low:

@@ -45,9 +45,7 @@ class Vocab:
     def build(cls, sentences: Iterable[Sequence[str]]) -> "Vocab":
         return cls([PAD_TOKEN, UNK_TOKEN] + sorted({tok for sent in sentences for tok in sent}))
 
-    def encode(self, tokens: Sequence[str], max_len: int | None = None) -> list[int]:
-        if max_len is not None:
-            tokens = tokens[:max_len]
+    def encode(self, tokens: Sequence[str]) -> list[int]:
         return [self.token_to_id.get(tok, self.UNK) for tok in tokens]
 
 

@@ -106,12 +106,7 @@ class AttentionTrace:
 
 def init_graph(visual: Tensor, context: Tensor) -> GraphState:
     """Step-1 graph: every node column is [v_i; u]."""
-    d, n = visual.data.shape
-    if n < 1:
-        raise T.ShapeError("init_graph: need at least one object node")
-    if context.data.shape != (d, 1):
-        raise T.ShapeError(
-            f"init_graph: context shape {context.data.shape} does not match ({d}, 1)")
+    n = visual.data.shape[1]
     return GraphState(step=1, nodes=T.concat([visual, T.broadcast_cols(context, n)], axis=0))
 
 
@@ -142,8 +137,6 @@ def select_neighbors(adj: np.ndarray, k: int) -> np.ndarray:
     Row i equals ``T.topk_indices(adj[i], min(k, n))``: a stable sort of the
     negated row puts larger values first and ties in index order.
     """
-    if k < 1:
-        raise ValueError(f"select_neighbors: k must be >= 1, got {k}")
     n = adj.shape[0]
     return np.sort(np.argsort(-adj, axis=1, kind="stable")[:, :min(k, n)], axis=1)
 
@@ -173,15 +166,12 @@ def message_passing(nodes: Tensor, adj: Tensor, neighbors: np.ndarray,
 def update_nodes(state: GraphState, messages: Tensor, params: GraphParams) -> GraphState:
     """Rewrite each node's context half from [old context; message]; the
     visual half passes through bitwise untouched."""
-    two_d, n = state.nodes.data.shape
+    two_d = state.nodes.data.shape[0]
     d = two_d // 2
     visual = T.take_rows(state.nodes, 0, d)
     ctx = T.take_rows(state.nodes, d, two_d)
     new_ctx = params.ctx_update @ T.concat([ctx, messages], axis=0)
-    nodes = T.concat([visual, new_ctx], axis=0)
-    if not np.array_equal(nodes.data[:d], state.nodes.data[:d]):
-        raise RuntimeError("visual half of the node matrix changed during update")
-    return GraphState(step=state.step + 1, nodes=nodes)
+    return GraphState(step=state.step + 1, nodes=T.concat([visual, new_ctx], axis=0))
 
 
 CommandFn = Callable[[int], QuestionCommand]

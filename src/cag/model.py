@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
-from .config import MAX_CAPTION_TOKENS, MAX_QUESTION_TOKENS, RunConfig
+from .config import RunConfig
 from .decoder import score_candidates
 from .encoders import (LSTMParams, QuestionCommand, StepAttentionParams,
                        Vocab, encode_history, encode_question,
@@ -119,16 +119,12 @@ class EncodedInstance:
 
 
 def encode_instance(inst: DialogInstance, vocab: Vocab) -> EncodedInstance:
-    rounds = []
-    for r in inst.history:
-        rounds.append(vocab.encode(r.question, MAX_QUESTION_TOKENS)
-                      + vocab.encode([r.answer]))
     return EncodedInstance(
         dialog_id=inst.dialog_id,
         features=inst.scene.features(),
-        caption_ids=vocab.encode(inst.caption, MAX_CAPTION_TOKENS),
-        round_ids=rounds,
-        question_ids=vocab.encode(inst.current.question, MAX_QUESTION_TOKENS),
+        caption_ids=vocab.encode(inst.caption),
+        round_ids=[vocab.encode(r.question + [r.answer]) for r in inst.history],
+        question_ids=vocab.encode(inst.current.question),
         candidate_ids=[tuple(vocab.encode([c])) for c in inst.candidates],
         gt=inst.gt,
     )
@@ -156,10 +152,6 @@ class Model:
     def __init__(self, params: ModelParams, cfg: RunConfig):
         self.params = params
         self.cfg = cfg
-        if cfg.steps > len(params.step_attention):
-            raise ValueError(
-                f"configured {cfg.steps} steps but parameters cover "
-                f"{len(params.step_attention)}")
 
     def forward(self, enc: EncodedInstance,
                 drop_rng: np.random.Generator | None = None,

@@ -573,8 +573,13 @@ def _check_tokens(caption, question, history, candidates) -> None:
 
 
 def instance_from_dict(data: dict) -> DialogInstance:
+    dialog_id = data["id"]
+    if type(dialog_id) is not int or dialog_id < 0:
+        raise ValueError(f"dialog id {dialog_id!r} is not an integer >= 0")
     _check_tokens(data["caption"], data["question"], data["history"], data["candidates"])
     gt, n_cand = data["gt"], len(data["candidates"])
+    if n_cand < 2:
+        raise ValueError(f"a dialog needs at least 2 candidates, got {n_cand}")
     if type(gt) is not int or not 0 <= gt < n_cand:
         raise ValueError(f"gt {gt!r} outside [0, {n_cand})")
     grid, objects = data["scene"]["grid"], data["scene"]["objects"]
@@ -607,7 +612,7 @@ def instance_from_dict(data: dict) -> DialogInstance:
             form=ResolvedQuestion.from_dict(meta["round_forms"][idx]),
             subject_ids=tuple(meta["round_subjects"][idx]),
         ))
-    return DialogInstance(data["id"], scene, list(data["caption"]), rounds,
+    return DialogInstance(dialog_id, scene, list(data["caption"]), rounds,
                           [c[0] for c in data["candidates"]], gt)
 
 
@@ -632,16 +637,22 @@ def load_split(corpus_dir: str, split: str) -> list[DialogInstance]:
     if not os.path.exists(path):
         raise FileNotFoundError(f"no {split!r} split at {path}")
     instances = []
+    id_lines: dict[int, int] = {}  # dialog id -> line it was first read on
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                instances.append(instance_from_dict(json.loads(line.rstrip("\n"))))
+                inst = instance_from_dict(json.loads(line.rstrip("\n")))
             except KeyError as exc:
                 raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
             except (ValueError, IndexError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            if inst.dialog_id in id_lines:
+                raise ValueError(f"{path}:{lineno}: dialog id {inst.dialog_id} is "
+                                 f"already used on line {id_lines[inst.dialog_id]}")
+            id_lines[inst.dialog_id] = lineno
+            instances.append(inst)
     return instances
 
 

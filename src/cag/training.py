@@ -18,26 +18,20 @@ from .decoder import (OptimState, RankReport, adam_step, metrics_from_ranks,
 from .encoders import Vocab
 from .model import (EncodedInstance, Model, ModelParams, build_vocab,
                     encode_instance)
-from .synthdial import DialogInstance
+from .synthdial import FEATURE_DIM, DialogInstance
 
 log = logging.getLogger(__name__)
 
 
 def validate_corpus(instances: Sequence[DialogInstance], cfg: RunConfig) -> None:
-    """Reject corpus/config mismatches before any training happens."""
+    """Reject an empty corpus, or a config whose ``d_v`` is not the scene
+    feature dimension. Each line's own facts are checked where it loads
+    (:func:`cag.synthdial.load_split`)."""
     if not instances:
         raise ValueError("corpus is empty")
-    for inst in instances:
-        d_v = inst.scene.features().shape[0]
-        if d_v != cfg.d_v:
-            raise ValueError(
-                f"dialog {inst.dialog_id}: feature dimension {d_v} does not match "
-                f"config d_v={cfg.d_v}")
-        if len(inst.candidates) < 2:
-            raise ValueError(f"dialog {inst.dialog_id}: needs at least 2 candidates")
-        if not (0 <= inst.gt < len(inst.candidates)):
-            raise ValueError(
-                f"dialog {inst.dialog_id}: gt index {inst.gt} outside candidate list")
+    if cfg.d_v != FEATURE_DIM:
+        raise ValueError(f"scene features have dimension {FEATURE_DIM}, but the "
+                         f"config has d_v={cfg.d_v}")
 
 
 @dataclass
@@ -70,8 +64,6 @@ def train(train_set: Sequence[DialogInstance], val_set: Sequence[DialogInstance]
     epoch with the best val MRR (without a val split the last epoch; with
     zero epochs the initial weights, ``best_epoch`` None and no log rows)."""
     validate_corpus(train_set, cfg)
-    if val_set:
-        validate_corpus(val_set, cfg)
 
     vocab = build_vocab(train_set)
     rng_params = np.random.default_rng([cfg.seed, 0])

@@ -197,8 +197,9 @@ def test_criterion_04_degenerate_k_equals_dense_attention():
 
 def test_criterion_05_visual_immutability():
     with criterion("05 visual-immutability"):
-        # iterate() itself raises if the visual half ever drifts; verify the
-        # recorded states of 100 random forward passes stay bitwise equal
+        # iterate() itself has no check: update_nodes concatenates a copy of
+        # the visual half back, so verify from outside that the recorded
+        # states of 100 random forward passes stay bitwise equal
         inst = tiny_preset_instance()
         model, enc = tiny_preset_model(inst)
         rng = np.random.default_rng(55)

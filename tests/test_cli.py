@@ -188,7 +188,7 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert rc == 2
         assert [l for l in err.splitlines() if l.startswith("error:")] == [
-            "error: unknown config fields: ['accum_rounds']"]
+            f"error: {cfg_path}: unknown config fields: ['accum_rounds']"]
         assert "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
@@ -251,7 +251,7 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert rc == 2
         assert [l for l in err.splitlines() if l.startswith("error:")] == [
-            f"error: config field {field!r} must be {expected}, got {value!r}"]
+            f"error: {cfg_path}: config field {field!r} must be {expected}, got {value!r}"]
         assert "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
@@ -262,25 +262,27 @@ class TestTrainCommand:
     ("train", '{"d": 64,\n', "{path}: Expecting property name"),
     ("gen", '{"seed": 1,\n', "{path}: Expecting property name"),
     ("gen", "[1, 2]", "{path}: expected a JSON object, got list"),
-    ("gen", '{"bogus": 2}', "unknown manifest fields: ['bogus']"),
-    ("gen", '{"rounds": "4"}', "manifest field 'rounds' must be int, got '4'"),
+    ("gen", '{"bogus": 2}', "{path}: unknown manifest fields: ['bogus']"),
+    ("gen", '{"rounds": "4"}', "{path}: manifest field 'rounds' must be int, got '4'"),
     ("gen", '{"splits": {"train": 2.5}}',
-     "manifest field 'splits' must be dict[str, int], got {'train': 2.5}"),
+     "{path}: manifest field 'splits' must be dict[str, int], got {'train': 2.5}"),
     ("gen", '{"splits": {"train": -1}}',
-     "manifest field 'splits' must map 'train', 'val' or 'test' to a count >= 0, "
-     "got 'train': -1"),
+     "{path}: manifest field 'splits' must map 'train', 'val' or 'test' to a "
+     "count >= 0, got 'train': -1"),
     ("gen", '{"splits": {"dev": 3}}',
-     "manifest field 'splits' must map 'train', 'val' or 'test' to a count >= 0, "
-     "got 'dev': 3"),
-    ("gen", '{"n_objects": 100}', "manifest field 'n_objects' must be in [3, 16], got 100"),
-    ("gen", '{"n_objects": 2}', "manifest field 'n_objects' must be in [3, 16], got 2"),
-    ("gen", '{"grid": 0}', "manifest field 'grid' must be >= 1, got 0"),
-    ("gen", '{"seed": -5}', "manifest field 'seed' must be >= 0, got -5"),
+     "{path}: manifest field 'splits' must map 'train', 'val' or 'test' to a "
+     "count >= 0, got 'dev': 3"),
+    ("gen", '{"n_objects": 100}',
+     "{path}: manifest field 'n_objects' must be in [3, 16], got 100"),
+    ("gen", '{"n_objects": 2}',
+     "{path}: manifest field 'n_objects' must be in [3, 16], got 2"),
+    ("gen", '{"grid": 0}', "{path}: manifest field 'grid' must be >= 1, got 0"),
+    ("gen", '{"seed": -5}', "{path}: manifest field 'seed' must be >= 0, got -5"),
     ("gen", '{"splits": {"train": 0, "val": 0, "test": 0}, "rounds": 50}',
-     "manifest field 'rounds' must be in [2, 10], got 50"),
+     "{path}: manifest field 'rounds' must be in [2, 10], got 50"),
     ("gen", '{"splits": {"train": 0, "val": 0, "test": 0}, "candidates": 99}',
-     "manifest field 'candidates' must be in [2, 20], got 99"),
-    ("gen", '{"categories": ["dog"]}', "unknown manifest fields: ['categories']"),
+     "{path}: manifest field 'candidates' must be in [2, 20], got 99"),
+    ("gen", '{"categories": ["dog"]}', "{path}: unknown manifest fields: ['categories']"),
     # three objects cannot carry a ten-round pronoun chain for every dialog
     ("gen", '{"n_objects": 3, "rounds": 10, "splits": {"train": 300}}',
      "{path}: dialog 24: no unambiguous pronoun chain found in 100 attempts "
@@ -288,15 +290,19 @@ class TestTrainCommand:
     ("train", None, "[Errno 21] Is a directory: '{path}'"),
     # fields RunConfig no longer has
     ("train", '{"accum_rounds": 1, "vocab_min_count": 1}',
-     "unknown config fields: ['accum_rounds', 'vocab_min_count']"),
-    ("train", '{"epochs": -1}', "config field 'epochs' must be >= 0, got -1"),
-    ("train", '{"seed": -2}', "config field 'seed' must be >= 0, got -2"),
-    ("train", '{"steps": -1}', "config field 'steps' must be >= 0, got -1"),
-    ("train", '{"d": 0}', "config field 'd' must be >= 1, got 0"),
-    ("train", '{"lr": 0}', "config field 'lr' must be finite and > 0, got 0"),
-    ("train", '{"lr": -0.001}', "config field 'lr' must be finite and > 0, got -0.001"),
-    ("train", '{"lr": NaN}', "config field 'lr' must be finite and > 0, got nan"),
-    ("train", '{"lr": Infinity}', "config field 'lr' must be finite and > 0, got inf"),
+     "{path}: unknown config fields: ['accum_rounds', 'vocab_min_count']"),
+    ("train", '{"epochs": -1}', "{path}: config field 'epochs' must be >= 0, got -1"),
+    ("train", '{"seed": -2}', "{path}: config field 'seed' must be >= 0, got -2"),
+    ("train", '{"steps": -1}', "{path}: config field 'steps' must be >= 0, got -1"),
+    ("train", '{"d": 0}', "{path}: config field 'd' must be >= 1, got 0"),
+    ("train", '{"k_neighbors": 0}', "{path}: config field 'k_neighbors' must be >= 1, got 0"),
+    ("train", '{"lr": 0}', "{path}: config field 'lr' must be finite and > 0, got 0"),
+    ("train", '{"lr": -0.001}',
+     "{path}: config field 'lr' must be finite and > 0, got -0.001"),
+    ("train", '{"lr": NaN}', "{path}: config field 'lr' must be finite and > 0, got nan"),
+    ("train", '{"lr": Infinity}', "{path}: config field 'lr' must be finite and > 0, got inf"),
+    ("train", '{"dropout": 1.0}',
+     "{path}: config field 'dropout' must be in [0, 1), got 1.0"),
 ], ids=["config-not-object", "manifest-not-object", "config-truncated",
         "manifest-truncated", "manifest-list", "manifest-unknown-field",
         "manifest-str-rounds", "manifest-float-split", "manifest-negative-split",
@@ -305,11 +311,11 @@ class TestTrainCommand:
         "manifest-too-many-rounds", "manifest-too-many-candidates",
         "manifest-removed-field", "generation-fails", "config-is-directory",
         "config-removed-fields", "config-negative-epochs", "config-negative-seed",
-        "config-negative-steps", "config-zero-d", "config-zero-lr", "config-negative-lr",
-        "config-nan-lr", "config-infinite-lr"])
+        "config-negative-steps", "config-zero-d", "config-zero-k", "config-zero-lr",
+        "config-negative-lr", "config-nan-lr", "config-infinite-lr", "config-dropout-one"])
 def test_malformed_input_file_rejected(tmp_path, corpus_dir, capsys, command, text,
                                        expected):
-    # file-level faults name the file; field-level faults name the field;
+    # every fault names the file, and a field-level fault the field too;
     # text None makes the input path a directory
     path = tmp_path / "input.json"
     if text is None:
@@ -392,6 +398,7 @@ class TestEvalCommand:
          "missing field 'gt'"),
         (lambda line: json.dumps({**json.loads(line), "gt": 9}), "gt 9 outside [0, 6)"),
         (lambda line: json.dumps({**json.loads(line), "gt": -1}), "gt -1 outside [0, 6)"),
+        (lambda line: json.dumps({**json.loads(line), "gt": 6}), "gt 6 outside [0, 6)"),
         (lambda line: line[: len(line) // 2], "line 1 column"),
         (lambda line: line[: line.index(",") + 1], "line 1 column"),
         (lambda line: with_scene(line, lambda s: s["objects"][0].update(cat="unicorn")),
@@ -428,11 +435,28 @@ class TestEvalCommand:
          "token '<unk>': "),
         (lambda line: with_line(line, lambda d: d["question"].__setitem__(0, ["what"])),
          "token ['what']: a token is a string"),
-    ], ids=["no_gt", "gt_too_large", "gt_negative", "truncated_json", "cut_after_comma",
-            "unknown_cat", "unknown_color", "unknown_size", "no_objects", "short_cell",
+        # used to fail in validation as "dialog 13: needs at least 2 candidates"
+        (lambda line: with_line(line, lambda d: d.update(
+            candidates=[d["candidates"][d["gt"]]], gt=0)),
+         "a dialog needs at least 2 candidates, got 1"),
+        # the dialog id is a non-negative integer, unique within its split
+        (lambda line: with_line(line, lambda d: d.update(id=None)),
+         "dialog id None is not an integer >= 0"),
+        (lambda line: with_line(line, lambda d: d.update(id=1.5)), "dialog id 1.5 is not"),
+        (lambda line: with_line(line, lambda d: d.update(id=-1)), "dialog id -1 is not"),
+        (lambda line: with_line(line, lambda d: d.update(id="<pad>")),
+         "dialog id '<pad>' is not"),
+        (lambda line: with_line(line, lambda d: d.update(id=True)), "dialog id True is not"),
+        # the split's ids are consecutive, so this takes the first line's id
+        (lambda line: with_line(line, lambda d: d.update(id=d["id"] - 1)),
+         "dialog id 12 is already used on line 1"),
+    ], ids=["no_gt", "gt_too_large", "gt_negative", "gt_one_past_end", "truncated_json",
+            "cut_after_comma", "unknown_cat", "unknown_color", "unknown_size", "no_objects", "short_cell",
             "bool_cell", "cell_off_grid", "str_grid", "str_question", "str_candidate",
             "two_token_candidate", "two_token_history_answer", "empty_caption",
-            "empty_question", "pad_in_question", "unk_in_caption", "list_token"])
+            "empty_question", "pad_in_question", "unk_in_caption", "list_token",
+            "one_candidate", "null_id", "float_id", "negative_id", "str_id", "bool_id",
+            "duplicate_id"])
     def test_malformed_corpus_line_named(self, trained, corpus_dir, tmp_path, capsys,
                                          mutate, expected):
         out, _ = trained
@@ -449,6 +473,29 @@ class TestEvalCommand:
         assert errors[0].startswith(f"error: {bad / 'val.jsonl'}:2: ")
         assert expected in errors[0]
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command,name", [("eval", "graph.fusion"),
+                                              ("trace", "visual.proj")],
+                             ids=["eval", "trace"])
+    def test_non_finite_parameter_refused(self, trained, tmp_path, tiny_corpus, capsys,
+                                          command, name):
+        # a NaN in graph.fusion used to evaluate with exit 0 to "MRR": Infinity;
+        # one in visual.proj used to end the trace in a traceback
+        out, _ = trained
+        ckpt = load_checkpoint(out / "best.ckpt")
+        ckpt.params_state[name][0, 0] = np.nan
+        bad = tmp_path / "nan.ckpt"
+        save_checkpoint(bad, ckpt.params_state, ckpt.optim, ckpt.vocab, ckpt.config)
+        argv = {"eval": ["--split", "val"],
+                "trace": ["--dialog", str(tiny_corpus["val"][0].dialog_id),
+                          "--out", str(tmp_path / "trace.json")]}[command]
+        rc = main([command, "--ckpt", str(bad)] + argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert [l for l in err.splitlines() if l.startswith("error:")] == [
+            f"error: checkpoint {bad}: parameter {name!r} holds a non-finite value"]
+        assert "Traceback" not in err
+        assert not (tmp_path / "trace.json").exists()
 
     def test_eval_after_roundtrip_matches_in_memory(self, trained, corpus_dir, tiny_corpus):
         out, _ = trained
@@ -520,6 +567,17 @@ class TestCheckpointFile:
         with pytest.raises(CheckpointError) as info:
             load_checkpoint(bad)
         assert str(info.value) == f"checkpoint {bad}: {expected}"
+
+    def test_repeated_vocab_token_named(self, trained, tmp_path, capsys):
+        # only a stored vocab can repeat a token: a built one comes from a set
+        bad = self.with_edited_metadata(
+            trained, tmp_path, lambda meta: meta["vocab"].__setitem__(3, meta["vocab"][2]))
+        rc = main(["eval", "--ckpt", str(bad), "--split", "val"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert [l for l in err.splitlines() if l.startswith("error:")] == [
+            f"error: checkpoint {bad}: vocab tokens must be unique"]
+        assert "Traceback" not in err
 
     @staticmethod
     def with_edited_metadata(trained, tmp_path, edit):

@@ -53,10 +53,6 @@ class TestVocab:
         for tok in v.id_to_token[2:]:
             assert v.id_to_token[v.token_to_id[tok]] == tok
 
-    def test_encode_truncates(self):
-        v = Vocab.build([["a", "b", "c"]])
-        assert len(v.encode(["a", "b", "c"], max_len=2)) == 2
-
 
 class TestLSTM:
     def test_zero_weights_zero_input_gives_zero_states(self):

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -153,13 +155,19 @@ class TestParams:
 
 
 class TestEncodeInstance:
-    def test_truncation_and_ids(self, tiny_corpus):
-        from cag.config import MAX_QUESTION_TOKENS
+    def test_long_sentences_encoded_in_full(self, tiny_corpus):
+        # sentences have no length cap: this question used to be cut to 20 ids
+        inst = copy.deepcopy(tiny_corpus["train"][0])
+        inst.rounds[-1].question[:0] = ["is"] * 30
+        inst.caption[:0] = ["a"] * 40
         vocab = build_vocab(tiny_corpus["train"])
-        enc = encode_instance(tiny_corpus["train"][0], vocab)
-        assert len(enc.question_ids) <= MAX_QUESTION_TOKENS
-        assert all(0 <= i < len(vocab) for i in enc.question_ids)
-        assert enc.features.shape[1] == len(tiny_corpus["train"][0].scene.objects)
+        enc = encode_instance(inst, vocab)
+        assert enc.question_ids == vocab.encode(inst.current.question)
+        assert len(enc.question_ids) == len(inst.current.question) > 30
+        assert enc.caption_ids == vocab.encode(inst.caption)
+        assert len(enc.caption_ids) > 40
+        assert all(0 < i < len(vocab) for i in enc.question_ids + enc.caption_ids)
+        assert enc.features.shape[1] == len(inst.scene.objects)
 
     def test_unknown_tokens_map_to_unk(self, tiny_corpus):
         from cag.encoders import Vocab
