@@ -15,8 +15,7 @@ JSON. Each checkpoint also gets a ``sha256  runs/<run>/best.ckpt#params``
 line: the hash of its parameter arrays alone (name, shape and bytes, in
 name order), so a change to the container format that keeps the weights
 shows identical ``#params`` lines. Paths are relative to the temporary
-directory, so the corpus path recorded in each checkpoint is the same on
-every run. Two checkouts with identical numerics print identical output.
+directory, so two checkouts with identical numerics print identical output.
 
 The output opens with ``#`` lines naming the numpy version and BLAS
 library, because floating-point results are only comparable between runs
@@ -85,12 +84,14 @@ def produce() -> None:
         cag("train", "--config", f"{run}.config.json", "--corpus", corpus_dir,
             "--out", f"runs/{run}")
         ckpt = f"runs/{run}/best.ckpt"
-        Path(f"runs/{run}/eval_val.json").write_text(cag("eval", "--ckpt", ckpt, "--split", "val"))
+        Path(f"runs/{run}/eval_val.json").write_text(
+            cag("eval", "--ckpt", ckpt, "--corpus", corpus_dir, "--split", "val"))
         dialog = load_split(corpus_dir, "val")[0].dialog_id
-        cag("trace", "--ckpt", ckpt, "--dialog", str(dialog), "--out", f"runs/{run}/trace.json")
+        cag("trace", "--ckpt", ckpt, "--corpus", corpus_dir, "--dialog", str(dialog),
+            "--out", f"runs/{run}/trace.json")
     dialog = load_split("corpus/learn", "val")[0].dialog_id
-    cag("trace", "--ckpt", "runs/learn/best.ckpt", "--dialog", str(dialog), "--ablate", "no_u",
-        "--out", "runs/learn/trace_ablate_no_u.json")
+    cag("trace", "--ckpt", "runs/learn/best.ckpt", "--corpus", "corpus/learn",
+        "--dialog", str(dialog), "--ablate", "no_u", "--out", "runs/learn/trace_ablate_no_u.json")
 
 
 def params_digest(ckpt_path: Path) -> str:
@@ -123,7 +124,6 @@ def environment() -> list[str]:
 
 
 def run() -> int:
-    os.environ.pop("CAG_SEED", None)  # the configs' seeds must hold
     logging.basicConfig(level=logging.WARNING)
     home = os.getcwd()
     with tempfile.TemporaryDirectory(prefix="cag-fingerprint-") as tmp:

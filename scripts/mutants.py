@@ -45,8 +45,6 @@ MUTANTS = [
     # training
     Mutant("best-mrr-tie", "src/cag/training.py",
            "if report.mrr > result.best_mrr:", "if report.mrr >= result.best_mrr:"),
-    Mutant("validate-d-v", "src/cag/training.py",
-           "if cfg.d_v != FEATURE_DIM:", "if False:"),
     # checkpoint boundary
     Mutant("ckpt-non-finite", "src/cag/checkpoint.py",
            "if not np.isfinite(data).all():", "if False:"),
@@ -59,6 +57,9 @@ MUTANTS = [
     Mutant("cli-catches-checkpoint-error", "src/cag/cli.py",
            "except (OSError, ValueError, GenerationError, CheckpointError, CliError)",
            "except (OSError, ValueError, GenerationError, CliError)"),
+    Mutant("trace-id-one-split", "src/cag/cli.py", "if len(found) > 1:", "if False:"),
+    # model construction
+    Mutant("params-d-v", "src/cag/model.py", "if cfg.d_v != FEATURE_DIM:", "if False:"),
     # corpus boundary
     Mutant("corpus-two-candidates", "src/cag/synthdial.py",
            "if n_cand < 2:", "if n_cand < 1:"),
@@ -123,7 +124,6 @@ def killed(mutant: Mutant) -> bool:
         target = Path(tmp) / mutant.path
         target.write_text(mutate(target.read_text(), mutant))
         env = {**os.environ, "PYTHONPATH": str(Path(tmp) / "src")}
-        env.pop("CAG_SEED", None)
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
              "--ignore=tests/test_acceptance.py", "--ignore=tests/test_mutants.py",

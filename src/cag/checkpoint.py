@@ -38,10 +38,11 @@ class CheckpointError(RuntimeError):
 
 @dataclass
 class Checkpoint:
-    """A loaded checkpoint. ``optim`` carries only the schedule scalars
-    (``base_lr``, ``step_count``, ``epoch``); its Adam moments are empty,
-    because the file does not store them."""
+    """A loaded checkpoint and the file it came from. ``optim`` carries only
+    the schedule scalars (``base_lr``, ``step_count``, ``epoch``); its Adam
+    moments are empty, because the file does not store them."""
 
+    path: str
     params_state: dict[str, np.ndarray]
     optim: OptimState | None
     vocab: Vocab
@@ -131,20 +132,20 @@ def load_checkpoint(path) -> Checkpoint:
         pos += 8 * size
 
     optim = None if optim_meta is None else OptimState(**optim_meta)
-    return Checkpoint(params_state, optim, vocab, config)
+    return Checkpoint(str(path), params_state, optim, vocab, config)
 
 
 def build_model(ckpt: Checkpoint, extra_ablations: list[str] | None = None) -> Model:
-    """Materialize a runnable model, validating every stored shape against
-    the checkpoint's own config."""
+    """Materialize a runnable model, validating the checkpoint's config and
+    every stored shape against it."""
     cfg = ckpt.config
     if extra_ablations:
         cfg = cfg.with_ablations(extra_ablations)
-    params = ModelParams.init(cfg, len(ckpt.vocab), rng=None)
     try:
+        params = ModelParams.init(cfg, len(ckpt.vocab), rng=None)
         params.load_state(ckpt.params_state)
     except ValueError as exc:
         raise CheckpointError(
-            f"{exc} (checkpoint dims: d={cfg.d}, d_w={cfg.d_w}, d_v={cfg.d_v}, "
-            f"steps={cfg.steps}, vocab={len(ckpt.vocab)})") from exc
+            f"checkpoint {ckpt.path}: {exc} (checkpoint dims: d={cfg.d}, d_w={cfg.d_w}, "
+            f"d_v={cfg.d_v}, steps={cfg.steps}, vocab={len(ckpt.vocab)})") from exc
     return Model(params, cfg)

@@ -1,13 +1,13 @@
 """Command-line workflow: gen / train / eval / trace.
 
-All commands are deterministic given their inputs; CAG_SEED in the
-environment overrides the config seed for training.
+All commands are deterministic given their inputs: the config file
+holds the model and training settings, and the command line names the
+files.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import os
@@ -23,9 +23,7 @@ from .graph import graph_attention
 from .model import encode_instance, top_attended
 from .synthdial import (SPLIT_ORDER, CorpusManifest, GenerationError,
                         generate_corpus, load_split, save_corpus)
-from .training import evaluate, train, validate_corpus
-
-log = logging.getLogger("cag")
+from .training import evaluate, train
 
 
 class CliError(RuntimeError):
@@ -52,28 +50,8 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _resolve_seed(cfg: RunConfig) -> RunConfig:
-    env = os.environ.get("CAG_SEED")
-    if env is not None:
-        try:
-            seed = int(env)
-        except ValueError:
-            raise CliError(f"CAG_SEED must be an integer, got {env!r}") from None
-        try:
-            cfg = dataclasses.replace(cfg, seed=seed)
-        except ValueError as exc:
-            raise CliError(f"CAG_SEED={env}: {exc}") from None
-        log.info("CAG_SEED=%s overrides config seed", env)
-    return cfg
-
-
 def cmd_train(args) -> int:
     cfg = RunConfig.from_file(args.config)
-    cfg = _resolve_seed(cfg)
-    # the corpus location is part of the run's identity: eval finds splits
-    # through it
-    cfg = dataclasses.replace(cfg, corpus_dir=str(args.corpus))
-
     train_set = load_split(args.corpus, "train")
     try:
         val_set = load_split(args.corpus, "val")
@@ -96,22 +74,17 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_for_eval(ckpt_path, corpus_arg, ablate):
-    ckpt = load_checkpoint(ckpt_path)
-    model = build_model(ckpt, extra_ablations=ablate)
-    corpus_dir = corpus_arg or ckpt.config.corpus_dir
-    if not corpus_dir:
-        raise CliError("no corpus directory: pass --corpus or train with one recorded")
-    return ckpt, model, corpus_dir
+def _load_for_eval(args):
+    ckpt = load_checkpoint(args.ckpt)
+    model = build_model(ckpt, extra_ablations=args.ablate.split(",") if args.ablate else [])
+    return ckpt, model
 
 
 def cmd_eval(args) -> int:
-    ablate = args.ablate.split(",") if args.ablate else []
-    ckpt, model, corpus_dir = _load_for_eval(args.ckpt, args.corpus, ablate)
-    instances = load_split(corpus_dir, args.split)
+    ckpt, model = _load_for_eval(args)
+    instances = load_split(args.corpus, args.split)
     if not instances:
         raise CliError(f"split {args.split!r} is empty")
-    validate_corpus(instances, ckpt.config)
     encoded = [encode_instance(i, ckpt.vocab) for i in instances]
     report, _ = evaluate(model, encoded)
     print(json.dumps(report.to_dict(), sort_keys=True))
@@ -149,22 +122,21 @@ def build_trace_doc(model, enc, result) -> dict:
 
 
 def cmd_trace(args) -> int:
-    ablate = args.ablate.split(",") if args.ablate else []
-    ckpt, model, corpus_dir = _load_for_eval(args.ckpt, args.corpus, ablate)
-    inst = None
+    ckpt, model = _load_for_eval(args)
+    found = {}  # split file -> the dialog with the id; ids are unique within a split
     for split in SPLIT_ORDER:
         try:
-            for cand in load_split(corpus_dir, split):
-                if cand.dialog_id == args.dialog:
-                    inst = cand
-                    break
+            found.update((os.path.join(args.corpus, f"{split}.jsonl"), inst)
+                         for inst in load_split(args.corpus, split)
+                         if inst.dialog_id == args.dialog)
         except FileNotFoundError:
             continue
-        if inst is not None:
-            break
-    if inst is None:
-        raise CliError(f"dialog id {args.dialog} not found in {corpus_dir}")
-    validate_corpus([inst], ckpt.config)
+    if not found:
+        raise CliError(f"dialog id {args.dialog} not found in {args.corpus}")
+    if len(found) > 1:
+        raise CliError(f"dialog id {args.dialog} is in more than one split: "
+                       f"{' and '.join(found)}")
+    (inst,) = found.values()
     enc = encode_instance(inst, ckpt.vocab)
     with T.no_grad():
         result = model.forward(enc)
@@ -202,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", required=True, choices=SPLIT_ORDER)
     p.add_argument("--ablate", default="",
                    help="comma-separated ablations to apply at eval time")
-    p.add_argument("--corpus", default=None)
+    p.add_argument("--corpus", required=True)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("trace", help="export per-step attention data for one dialog")
@@ -210,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dialog", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--ablate", default="")
-    p.add_argument("--corpus", default=None)
+    p.add_argument("--corpus", required=True)
     p.set_defaults(fn=cmd_trace)
     return parser
 

@@ -104,16 +104,15 @@ class RunConfig(JsonRecord):
     epochs: int = 20
     dropout: float = 0.3
     seed: int = 1
-    # resolved by the CLI; recorded so eval can find the corpus
-    corpus_dir: str = ""
 
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        for a in self.ablations:
-            if a not in ABLATIONS:
-                raise ValueError(f"unknown ablation {a!r}; expected among {ABLATIONS}")
+            raise ValueError(f"config field 'variant' must be one of {VARIANTS}, "
+                             f"got {self.variant!r}")
+        if not set(self.ablations) <= set(ABLATIONS):
+            raise ValueError(f"config field 'ablations' must be among {ABLATIONS}, "
+                             f"got {self.ablations!r}")
         if not (0.0 <= self.dropout < 1.0):
             raise ValueError(f"config field 'dropout' must be in [0, 1), got {self.dropout}")
         for name, low in (("d", 1), ("d_w", 1), ("d_v", 1), ("k_neighbors", 1),

@@ -15,7 +15,7 @@ from .encoders import (LSTMParams, QuestionCommand, StepAttentionParams,
                        Vocab, encode_history, encode_question,
                        history_attention, question_command)
 from .graph import AttentionTrace, GraphParams, fuse, graph_attention, iterate
-from .synthdial import DialogInstance, token_sentences
+from .synthdial import FEATURE_DIM, DialogInstance, token_sentences
 from .tensor import Tensor
 
 
@@ -39,12 +39,16 @@ class ModelParams:
     def init(cls, cfg: RunConfig, vocab_size: int,
              rng: np.random.Generator | None = None) -> "ModelParams":
         """Fresh parameters; rng=None builds zero-filled shells (checkpoint
-        loading fills them in).
+        loading fills them in). A ``d_v`` other than the scene feature
+        dimension is refused.
 
         Embeddings draw from uniform(-0.8, 0.8): roughly the magnitude of
         pretrained word vectors. At much smaller scales the text pathway
         stalls for many epochs before the co-reference signal appears.
         """
+        if cfg.d_v != FEATURE_DIM:
+            raise ValueError(f"scene features have dimension {FEATURE_DIM}, but the "
+                             f"config has d_v={cfg.d_v}")
         d, d_w = cfg.d, cfg.d_w
 
         def u(rows, cols, scale=None):

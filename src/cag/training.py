@@ -18,20 +18,9 @@ from .decoder import (OptimState, RankReport, adam_step, metrics_from_ranks,
 from .encoders import Vocab
 from .model import (EncodedInstance, Model, ModelParams, build_vocab,
                     encode_instance)
-from .synthdial import FEATURE_DIM, DialogInstance
+from .synthdial import DialogInstance
 
 log = logging.getLogger(__name__)
-
-
-def validate_corpus(instances: Sequence[DialogInstance], cfg: RunConfig) -> None:
-    """Reject an empty corpus, or a config whose ``d_v`` is not the scene
-    feature dimension. Each line's own facts are checked where it loads
-    (:func:`cag.synthdial.load_split`)."""
-    if not instances:
-        raise ValueError("corpus is empty")
-    if cfg.d_v != FEATURE_DIM:
-        raise ValueError(f"scene features have dimension {FEATURE_DIM}, but the "
-                         f"config has d_v={cfg.d_v}")
 
 
 @dataclass
@@ -63,7 +52,8 @@ def train(train_set: Sequence[DialogInstance], val_set: Sequence[DialogInstance]
     """Full run: build vocab from the train split, fit, and snapshot the
     epoch with the best val MRR (without a val split the last epoch; with
     zero epochs the initial weights, ``best_epoch`` None and no log rows)."""
-    validate_corpus(train_set, cfg)
+    if not train_set:
+        raise ValueError("the train split is empty")
 
     vocab = build_vocab(train_set)
     rng_params = np.random.default_rng([cfg.seed, 0])

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from cag.config import RunConfig
 from cag.model import Model, ModelParams, build_vocab, encode_instance
@@ -56,3 +57,37 @@ def corpus_dir(tmp_path_factory, tiny_manifest, tiny_corpus):
     out = tmp_path_factory.mktemp("corpus")
     save_corpus(tiny_corpus, tiny_manifest, out)
     return out
+
+
+def field_paths(node, path=()):
+    """Key/index path of every field and sub-field below ``node``."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from field_paths(child, path + (key,))
+
+
+def as_string(v):
+    return " ".join(map(str, v)) if isinstance(v, list) else str(v)
+
+
+def two_elements(v):
+    return [v[0], v[0]] if isinstance(v, list) and v else [v, v]
+
+
+# each replaces one field: literal values, then a string where a list was
+# and a two-element list, both built from the field's own value
+REPLACEMENTS = [lambda v, r=r: r for r in ([], "", "<pad>", "<unk>", 0, -1, 1.5, None, {})]
+REPLACEMENTS += [as_string, two_elements]
+
+
+def replace_one_field(record, data) -> None:
+    """Replace one field or sub-field of the parsed JSON ``record`` in place,
+    both drawn from the hypothesis ``data``."""
+    path = data.draw(st.sampled_from(list(field_paths(record))))
+    replace = data.draw(st.sampled_from(REPLACEMENTS))
+    parent = record
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = replace(parent[path[-1]])

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -8,15 +9,17 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cag.checkpoint import (CheckpointError, build_model, load_checkpoint,
                             save_checkpoint)
 from cag.cli import main
-from cag.config import atomic_open
+from cag.config import RunConfig, atomic_open
 from cag.model import ModelParams, build_vocab, encode_instance
 from cag.synthdial import CorpusManifest
 from cag.training import evaluate, train
-from conftest import tiny_run_config, write_config, write_manifest
+from conftest import replace_one_field, tiny_run_config, write_config, write_manifest
 
 
 def file_hash(path):
@@ -135,46 +138,20 @@ class TestTrainCommand:
         assert result.log_rows[9]["lr"] == pytest.approx(4e-4)
         assert result.log_rows[10]["lr"] == pytest.approx(2e-4)
 
-    def test_cag_seed_env_overrides_config(self, tmp_path, corpus_dir, monkeypatch):
-        base = tiny_run_config(epochs=1, seed=1)
-        cfg_path = write_config(tmp_path / "c.json", base)
+    def test_cag_seed_env_is_ignored(self, tmp_path, corpus_dir, monkeypatch):
+        # the config file is the only source of the seed
+        cfg_path = write_config(tmp_path / "c.json", tiny_run_config(epochs=1, seed=1))
+
+        def run(name):
+            out = tmp_path / name
+            assert main(["train", "--config", cfg_path, "--corpus", str(corpus_dir),
+                         "--out", str(out)]) == 0
+            return file_hash(out / "metrics.jsonl"), file_hash(out / "best.ckpt")
 
         monkeypatch.setenv("CAG_SEED", "77")
-        out_env = tmp_path / "env"
-        assert main(["train", "--config", cfg_path, "--corpus", str(corpus_dir),
-                     "--out", str(out_env)]) == 0
+        with_env = run("env")
         monkeypatch.delenv("CAG_SEED")
-
-        cfg77 = write_config(tmp_path / "c77.json", tiny_run_config(epochs=1, seed=77))
-        out_direct = tmp_path / "direct"
-        assert main(["train", "--config", cfg77, "--corpus", str(corpus_dir),
-                     "--out", str(out_direct)]) == 0
-        assert file_hash(out_env / "metrics.jsonl") == file_hash(out_direct / "metrics.jsonl")
-
-    def test_cag_seed_must_be_an_integer(self, tmp_path, corpus_dir, capsys, monkeypatch):
-        cfg_path = write_config(tmp_path / "c.json", tiny_run_config(epochs=1))
-        monkeypatch.setenv("CAG_SEED", "abc")
-        rc = main(["train", "--config", cfg_path, "--corpus", str(corpus_dir),
-                   "--out", str(tmp_path / "run")])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert [l for l in err.splitlines() if l.startswith("error:")] == [
-            "error: CAG_SEED must be an integer, got 'abc'"]
-        assert "Traceback" not in err
-        assert not (tmp_path / "run").exists()
-
-    def test_negative_cag_seed_names_source_and_field(self, tmp_path, corpus_dir, capsys,
-                                                       monkeypatch):
-        cfg_path = write_config(tmp_path / "c.json", tiny_run_config(epochs=1))
-        monkeypatch.setenv("CAG_SEED", "-3")
-        rc = main(["train", "--config", cfg_path, "--corpus", str(corpus_dir),
-                   "--out", str(tmp_path / "run")])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert [l for l in err.splitlines() if l.startswith("error:")] == [
-            "error: CAG_SEED=-3: config field 'seed' must be >= 0, got -3"]
-        assert "Traceback" not in err
-        assert not (tmp_path / "run").exists()
+        assert run("plain") == with_env
 
     @pytest.mark.parametrize("rounds", [0, -1])
     def test_nonpositive_accum_rounds_rejected(self, tmp_path, corpus_dir, capsys, rounds):
@@ -303,6 +280,14 @@ class TestTrainCommand:
     ("train", '{"lr": Infinity}', "{path}: config field 'lr' must be finite and > 0, got inf"),
     ("train", '{"dropout": 1.0}',
      "{path}: config field 'dropout' must be in [0, 1), got 1.0"),
+    ("train", '{"variant": "x"}',
+     "{path}: config field 'variant' must be one of ('cag', 'dualq'), got 'x'"),
+    ("train", '{"ablations": ["no_u", "bogus"]}',
+     "{path}: config field 'ablations' must be among ('no_infer', 'no_u', 'no_q_att', "
+     "'no_g_att'), got ['no_u', 'bogus']"),
+    # the command line names the corpus; a config file cannot
+    ("train", '{"corpus_dir": "/somewhere/else"}',
+     "{path}: unknown config fields: ['corpus_dir']"),
 ], ids=["config-not-object", "manifest-not-object", "config-truncated",
         "manifest-truncated", "manifest-list", "manifest-unknown-field",
         "manifest-str-rounds", "manifest-float-split", "manifest-negative-split",
@@ -312,7 +297,8 @@ class TestTrainCommand:
         "manifest-removed-field", "generation-fails", "config-is-directory",
         "config-removed-fields", "config-negative-epochs", "config-negative-seed",
         "config-negative-steps", "config-zero-d", "config-zero-k", "config-zero-lr",
-        "config-negative-lr", "config-nan-lr", "config-infinite-lr", "config-dropout-one"])
+        "config-negative-lr", "config-nan-lr", "config-infinite-lr", "config-dropout-one",
+        "config-unknown-variant", "config-unknown-ablation", "config-corpus-dir"])
 def test_malformed_input_file_rejected(tmp_path, corpus_dir, capsys, command, text,
                                        expected):
     # every fault names the file, and a field-level fault the field too;
@@ -338,25 +324,26 @@ def test_malformed_input_file_rejected(tmp_path, corpus_dir, capsys, command, te
 
 
 class TestEvalCommand:
-    def test_report_fields_and_determinism(self, trained, capsys):
+    def test_report_fields_and_determinism(self, trained, corpus_dir, capsys):
         out, _ = trained
         reports = []
         for _ in range(2):
-            assert main(["eval", "--ckpt", str(out / "best.ckpt"), "--split", "val"]) == 0
+            assert main(["eval", "--ckpt", str(out / "best.ckpt"), "--split", "val",
+                         "--corpus", str(corpus_dir)]) == 0
             reports.append(capsys.readouterr().out)
         assert reports[0] == reports[1]
         doc = json.loads(reports[0])
         assert set(doc) == {"Mean", "MRR", "R@1", "R@5", "R@10", "instances"}
         assert doc["R@10"] == 1.0  # C=6 candidates, every rank is within 10
 
-    def test_ablate_flag_is_applied(self, trained, tmp_path, tiny_corpus):
+    def test_ablate_flag_is_applied(self, trained, corpus_dir, tmp_path, tiny_corpus):
         # ranks can coincide on a tiny split, so compare raw logits via trace
         out, _ = trained
         dialog_id = tiny_corpus["val"][0].dialog_id
         base, ablated = tmp_path / "base.json", tmp_path / "ablated.json"
-        assert main(["trace", "--ckpt", str(out / "best.ckpt"),
+        assert main(["trace", "--ckpt", str(out / "best.ckpt"), "--corpus", str(corpus_dir),
                      "--dialog", str(dialog_id), "--out", str(base)]) == 0
-        assert main(["trace", "--ckpt", str(out / "best.ckpt"),
+        assert main(["trace", "--ckpt", str(out / "best.ckpt"), "--corpus", str(corpus_dir),
                      "--dialog", str(dialog_id), "--out", str(ablated),
                      "--ablate", "no_g_att,no_u"]) == 0
         a = json.loads(base.read_text())
@@ -367,7 +354,7 @@ class TestEvalCommand:
         assert b["alpha_h"] is None
         # no_infer reaches the step count the trace export checks against
         no_infer = tmp_path / "no_infer.json"
-        assert main(["trace", "--ckpt", str(out / "best.ckpt"),
+        assert main(["trace", "--ckpt", str(out / "best.ckpt"), "--corpus", str(corpus_dir),
                      "--dialog", str(dialog_id), "--out", str(no_infer),
                      "--ablate", "no_infer"]) == 0
         c = json.loads(no_infer.read_text())
@@ -377,21 +364,25 @@ class TestEvalCommand:
     @pytest.mark.parametrize("command", ["eval", "trace"])
     def test_checkpoint_dims_checked_against_corpus(self, corpus_dir, tiny_corpus, tmp_path,
                                                     capsys, command):
-        # a consistent checkpoint whose d_v the corpus features do not have
-        cfg = tiny_run_config(d_v=9, corpus_dir=str(corpus_dir))
+        # a checkpoint whose d_v the scene features do not have; ModelParams.init
+        # refuses d_v=9, so its visual.proj is reshaped by hand
+        cfg = tiny_run_config()
         vocab = build_vocab(tiny_corpus["train"])
-        params = ModelParams.init(cfg, len(vocab), np.random.default_rng(0))
+        state = ModelParams.init(cfg, len(vocab), np.random.default_rng(0)).state_dict()
+        state["visual.proj"] = state["visual.proj"][:, :9]
         ckpt = tmp_path / "d_v9.ckpt"
-        save_checkpoint(ckpt, params.state_dict(), None, vocab, cfg)
+        save_checkpoint(ckpt, state, None, vocab, dataclasses.replace(cfg, d_v=9))
         argv = {"eval": ["--split", "val"],
                 "trace": ["--dialog", str(tiny_corpus["val"][0].dialog_id),
                           "--out", str(tmp_path / "trace.json")]}[command]
-        rc = main([command, "--ckpt", str(ckpt)] + argv)
+        rc = main([command, "--ckpt", str(ckpt), "--corpus", str(corpus_dir)] + argv)
         err = capsys.readouterr().err
         assert rc == 2
         errors = [l for l in err.splitlines() if l.startswith("error:")]
-        assert len(errors) == 1 and "d_v=9" in errors[0]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"error: checkpoint {ckpt}: ") and "d_v=9" in errors[0]
         assert "Traceback" not in err
+        assert not (tmp_path / "trace.json").exists()
 
     @pytest.mark.parametrize("mutate,expected", [
         (lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "gt"}),
@@ -477,8 +468,8 @@ class TestEvalCommand:
     @pytest.mark.parametrize("command,name", [("eval", "graph.fusion"),
                                               ("trace", "visual.proj")],
                              ids=["eval", "trace"])
-    def test_non_finite_parameter_refused(self, trained, tmp_path, tiny_corpus, capsys,
-                                          command, name):
+    def test_non_finite_parameter_refused(self, trained, corpus_dir, tmp_path, tiny_corpus,
+                                          capsys, command, name):
         # a NaN in graph.fusion used to evaluate with exit 0 to "MRR": Infinity;
         # one in visual.proj used to end the trace in a traceback
         out, _ = trained
@@ -489,13 +480,25 @@ class TestEvalCommand:
         argv = {"eval": ["--split", "val"],
                 "trace": ["--dialog", str(tiny_corpus["val"][0].dialog_id),
                           "--out", str(tmp_path / "trace.json")]}[command]
-        rc = main([command, "--ckpt", str(bad)] + argv)
+        rc = main([command, "--ckpt", str(bad), "--corpus", str(corpus_dir)] + argv)
         err = capsys.readouterr().err
         assert rc == 2
         assert [l for l in err.splitlines() if l.startswith("error:")] == [
             f"error: checkpoint {bad}: parameter {name!r} holds a non-finite value"]
         assert "Traceback" not in err
         assert not (tmp_path / "trace.json").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "trace"])
+    def test_corpus_flag_required(self, trained, tmp_path, capsys, command):
+        out, _ = trained
+        argv = {"eval": ["--split", "val"],
+                "trace": ["--dialog", "0", "--out", str(tmp_path / "trace.json")]}[command]
+        with pytest.raises(SystemExit) as info:
+            main([command, "--ckpt", str(out / "best.ckpt")] + argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "the following arguments are required: --corpus" in err
+        assert "Traceback" not in err
 
     def test_eval_after_roundtrip_matches_in_memory(self, trained, corpus_dir, tiny_corpus):
         out, _ = trained
@@ -544,8 +547,9 @@ class TestCheckpointFile:
 
     @pytest.mark.parametrize("edit,expected", [
         (lambda meta: meta["config"].update(out_dir=""), "unknown config fields: ['out_dir']"),
-        (lambda meta: meta["config"].update(accum_rounds=1, vocab_min_count=1),
-         "unknown config fields: ['accum_rounds', 'vocab_min_count']"),
+        (lambda meta: meta["config"].update(accum_rounds=1, vocab_min_count=1,
+                                            corpus_dir="corp"),
+         "unknown config fields: ['accum_rounds', 'corpus_dir', 'vocab_min_count']"),
         (lambda meta: meta.pop("config"), "metadata lacks field 'config'"),
         (lambda meta: meta.pop("vocab"), "metadata lacks field 'vocab'"),
         (lambda meta: meta.pop("optim"), "metadata lacks field 'optim'"),
@@ -568,11 +572,11 @@ class TestCheckpointFile:
             load_checkpoint(bad)
         assert str(info.value) == f"checkpoint {bad}: {expected}"
 
-    def test_repeated_vocab_token_named(self, trained, tmp_path, capsys):
+    def test_repeated_vocab_token_named(self, trained, corpus_dir, tmp_path, capsys):
         # only a stored vocab can repeat a token: a built one comes from a set
         bad = self.with_edited_metadata(
             trained, tmp_path, lambda meta: meta["vocab"].__setitem__(3, meta["vocab"][2]))
-        rc = main(["eval", "--ckpt", str(bad), "--split", "val"])
+        rc = main(["eval", "--ckpt", str(bad), "--split", "val", "--corpus", str(corpus_dir)])
         err = capsys.readouterr().err
         assert rc == 2
         assert [l for l in err.splitlines() if l.startswith("error:")] == [
@@ -635,7 +639,6 @@ class TestCheckpointFile:
     def test_mismatched_dimension_named_on_load(self, trained, tmp_path):
         out, _ = trained
         ckpt = load_checkpoint(out / "best.ckpt")
-        import dataclasses
         wrong = dataclasses.replace(ckpt.config, d=ckpt.config.d * 2)
         bad = tmp_path / "wrong_d.ckpt"
         save_checkpoint(bad, ckpt.params_state, ckpt.optim, ckpt.vocab, wrong)
@@ -658,6 +661,63 @@ class TestCheckpointFile:
         back = load_checkpoint(again).optim
         assert (back.base_lr, back.step_count, back.epoch) == (
             ckpt.optim.base_lr, ckpt.optim.step_count, 7)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestBoundaryFileFuzz:
+    """A config or manifest with one field replaced, and a checkpoint with one
+    byte flipped or cut: each either loads or raises the error that ``main``
+    prints as one ``error:`` line, never another exception."""
+
+    @pytest.mark.parametrize("cls,record", [
+        (RunConfig, tiny_run_config(ablations=["no_u"]).to_dict()),
+        (CorpusManifest, CorpusManifest().to_dict()),
+    ], ids=["config", "manifest"])
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_record_loads_or_fails_named(self, fuzz_dir, cls, record, data):
+        record = json.loads(json.dumps(record))
+        replace_one_field(record, data)
+        path = fuzz_dir / f"{cls.KIND}.json"
+        path.write_text(json.dumps(record))
+        try:
+            cls.from_file(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: ")
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_damaged_checkpoint_refused(self, trained, fuzz_dir, data):
+        out, _ = trained
+        blob = bytearray((out / "best.ckpt").read_bytes())
+        how = data.draw(st.sampled_from(["flip", "cut", "flip-resealed"]))
+        path = fuzz_dir / "damaged.ckpt"
+        if how == "cut":
+            path.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
+        else:
+            body_end = len(blob) - 32 if how == "flip-resealed" else len(blob)
+            # half the flips land in the header and metadata, which are parsed
+            import cag.checkpoint as C
+            head = len(C.MAGIC) + C._HEAD.size
+            meta_end = head + C._HEAD.unpack_from(blob, len(C.MAGIC))[1]
+            end = data.draw(st.sampled_from([meta_end, body_end]))
+            blob[data.draw(st.integers(0, end - 1))] ^= data.draw(st.integers(1, 255))
+            if how == "flip-resealed":
+                blob[-32:] = hashlib.sha256(blob[:-32]).digest()
+            path.write_bytes(blob)
+        if how != "flip-resealed":
+            with pytest.raises(CheckpointError, match="corrupt or truncated"):
+                load_checkpoint(path)
+            return
+        # past the digest: every byte is parsed, checked or loaded as a weight
+        try:
+            build_model(load_checkpoint(path))
+        except CheckpointError as exc:
+            assert f"checkpoint {path}: " in str(exc)
 
 
 class TestAtomicWrites:
@@ -726,7 +786,7 @@ class TestTraceCommand:
         out, cfg = trained
         dialog_id = tiny_corpus["val"][0].dialog_id
         trace_path = tmp_path / "trace.json"
-        assert main(["trace", "--ckpt", str(out / "best.ckpt"),
+        assert main(["trace", "--ckpt", str(out / "best.ckpt"), "--corpus", str(corpus_dir),
                      "--dialog", str(dialog_id), "--out", str(trace_path)]) == 0
         doc = json.loads(trace_path.read_text())
         assert doc["dialog_id"] == dialog_id
@@ -744,7 +804,8 @@ class TestTraceCommand:
         assert doc["predicted_rank"] >= 1
         assert len(doc["logits"]) == 6
 
-    def test_pipe_is_written_through_not_replaced(self, trained, tmp_path, tiny_corpus):
+    def test_pipe_is_written_through_not_replaced(self, trained, corpus_dir, tmp_path,
+                                                   tiny_corpus):
         out, _ = trained
         dialog_id = tiny_corpus["val"][0].dialog_id
         fifo = tmp_path / "trace.fifo"
@@ -752,24 +813,44 @@ class TestTraceCommand:
         got = []
         reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
         reader.start()
-        assert main(["trace", "--ckpt", str(out / "best.ckpt"),
+        assert main(["trace", "--ckpt", str(out / "best.ckpt"), "--corpus", str(corpus_dir),
                      "--dialog", str(dialog_id), "--out", str(fifo)]) == 0
         reader.join(timeout=30)
         assert not reader.is_alive()
         assert stat.S_ISFIFO(fifo.stat().st_mode)
         assert json.loads(got[0])["dialog_id"] == dialog_id
 
-    def test_unknown_dialog_rejected(self, trained, capsys):
+    def test_unknown_dialog_rejected(self, trained, corpus_dir, capsys):
         out, _ = trained
-        rc = main(["trace", "--ckpt", str(out / "best.ckpt"),
+        rc = main(["trace", "--ckpt", str(out / "best.ckpt"), "--corpus", str(corpus_dir),
                    "--dialog", "99999", "--out", "/tmp/nope.json"])
         assert rc != 0
 
-    def test_rerun_is_byte_identical(self, trained, tmp_path, tiny_corpus):
+    def test_id_in_two_splits_refused(self, trained, corpus_dir, tmp_path, tiny_corpus,
+                                      capsys):
+        # ids are unique within a split only; the trace used to take the
+        # train dialog and could never reach the test one
+        out, _ = trained
+        bad = copy_corpus(corpus_dir, tmp_path / "corpus")
+        lines = (bad / "test.jsonl").read_text().splitlines()
+        lines[0] = with_line(lines[0], lambda d: d.update(id=0))
+        (bad / "test.jsonl").write_text("\n".join(lines) + "\n")
+        assert tiny_corpus["train"][0].dialog_id == 0
+        rc = main(["trace", "--ckpt", str(out / "best.ckpt"), "--corpus", str(bad),
+                   "--dialog", "0", "--out", str(tmp_path / "trace.json")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert [l for l in err.splitlines() if l.startswith("error:")] == [
+            f"error: dialog id 0 is in more than one split: {bad / 'train.jsonl'} and "
+            f"{bad / 'test.jsonl'}"]
+        assert "Traceback" not in err
+        assert not (tmp_path / "trace.json").exists()
+
+    def test_rerun_is_byte_identical(self, trained, corpus_dir, tmp_path, tiny_corpus):
         out, _ = trained
         dialog_id = tiny_corpus["train"][0].dialog_id
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for p in paths:
-            assert main(["trace", "--ckpt", str(out / "best.ckpt"),
+            assert main(["trace", "--ckpt", str(out / "best.ckpt"), "--corpus", str(corpus_dir),
                          "--dialog", str(dialog_id), "--out", str(p)]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()

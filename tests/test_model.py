@@ -147,6 +147,12 @@ class TestParams:
         with pytest.raises(ValueError, match="embedding"):
             other.load_state(state)
 
+    @pytest.mark.parametrize("rng", [np.random.default_rng(0), None], ids=["fresh", "shell"])
+    def test_feature_dim_mismatch_names_dims(self, rng):
+        # d_v has one legal value, the scene feature dimension
+        with pytest.raises(ValueError, match="dimension 16, but the config has d_v=5"):
+            ModelParams.init(tiny_run_config(d_v=5), 10, rng)
+
     def test_seed_determines_init(self, setup):
         cfg, vocab, _, _ = setup
         a = ModelParams.init(cfg, len(vocab), np.random.default_rng(5)).state_dict()

@@ -32,6 +32,7 @@ from cag.synthdial import (
     save_corpus,
 )
 from cag.training import evaluate
+from conftest import replace_one_field
 
 
 def small_scene():
@@ -291,29 +292,6 @@ class TestCorpus:
                     inst.scene, inst.current.form)
 
 
-def field_paths(node, path=()):
-    """Key/index path of every field and sub-field below ``node``."""
-    items = node.items() if isinstance(node, dict) else (
-        enumerate(node) if isinstance(node, list) else ())
-    for key, child in items:
-        yield path + (key,)
-        yield from field_paths(child, path + (key,))
-
-
-def as_string(v):
-    return " ".join(map(str, v)) if isinstance(v, list) else str(v)
-
-
-def two_elements(v):
-    return [v[0], v[0]] if isinstance(v, list) and v else [v, v]
-
-
-# each replaces one field: literal values, then a string where a list was
-# and a two-element list, both built from the field's own value
-REPLACEMENTS = [lambda v, r=r: r for r in ([], "", "<pad>", "<unk>", 0, -1, 1.5, None, {})]
-REPLACEMENTS += [as_string, two_elements]
-
-
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
@@ -332,12 +310,7 @@ class TestCorpusLineFuzz:
         # a copy: instance_to_dict shares the instance's lists
         line = json.loads(json.dumps(instance_to_dict(
             data.draw(st.sampled_from(tiny_corpus["val"])))))
-        path = data.draw(st.sampled_from(list(field_paths(line))))
-        replace = data.draw(st.sampled_from(REPLACEMENTS))
-        parent = line
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = replace(parent[path[-1]])
+        replace_one_field(line, data)
         split = fuzz_dir / "val.jsonl"
         split.write_text(json.dumps(line) + "\n")
         try:

@@ -2,22 +2,19 @@ import numpy as np
 import pytest
 
 from cag.synthdial import CorpusManifest, generate_corpus
-from cag.training import TrainResult, evaluate, train, validate_corpus
+from cag.training import TrainResult, evaluate, train
 from conftest import tiny_run_config
 
 
-class TestValidateCorpus:
-    def test_feature_dim_mismatch_names_dims(self, tiny_corpus):
-        cfg = tiny_run_config(d_v=5)
-        with pytest.raises(ValueError, match="d_v=5"):
-            validate_corpus(tiny_corpus["train"], cfg)
-
-    def test_empty_corpus_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            validate_corpus([], tiny_run_config())
-
-
 class TestTrain:
+    def test_empty_corpus_rejected(self, tiny_corpus):
+        with pytest.raises(ValueError, match="the train split is empty"):
+            train([], tiny_corpus["val"], tiny_run_config())
+
+    def test_feature_dim_mismatch_names_dims(self, tiny_corpus):
+        with pytest.raises(ValueError, match="d_v=5"):
+            train(tiny_corpus["train"][:2], [], tiny_run_config(d_v=5))
+
     def test_tied_val_mrr_keeps_earlier_epoch(self, tiny_corpus):
         # at lr=1e-300 no parameter moves, so every epoch ties on val MRR
         cfg = tiny_run_config(epochs=3, lr=1e-300)
