@@ -17,7 +17,7 @@ from collections import Counter
 from . import tensor as T
 from .checkpoint import (CheckpointError, build_model, load_checkpoint,
                          save_checkpoint)
-from .config import RunConfig, atomic_open
+from .config import ABLATIONS, RunConfig, atomic_open
 from .decoder import rank_of
 from .graph import graph_attention
 from .model import encode_instance, top_attended
@@ -50,9 +50,16 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _load_nonempty_split(corpus: str, split: str):
+    instances = load_split(corpus, split)
+    if not instances:
+        raise CliError(f"{os.path.join(corpus, f'{split}.jsonl')}: the split is empty")
+    return instances
+
+
 def cmd_train(args) -> int:
     cfg = RunConfig.from_file(args.config)
-    train_set = load_split(args.corpus, "train")
+    train_set = _load_nonempty_split(args.corpus, "train")
     try:
         val_set = load_split(args.corpus, "val")
     except FileNotFoundError:
@@ -75,16 +82,16 @@ def cmd_train(args) -> int:
 
 
 def _load_for_eval(args):
+    extra = args.ablate.split(",") if args.ablate else []
+    if not set(extra) <= set(ABLATIONS):
+        raise CliError(f"--ablate: must be among {ABLATIONS}, got {args.ablate!r}")
     ckpt = load_checkpoint(args.ckpt)
-    model = build_model(ckpt, extra_ablations=args.ablate.split(",") if args.ablate else [])
-    return ckpt, model
+    return ckpt, build_model(ckpt, extra_ablations=extra)
 
 
 def cmd_eval(args) -> int:
     ckpt, model = _load_for_eval(args)
-    instances = load_split(args.corpus, args.split)
-    if not instances:
-        raise CliError(f"split {args.split!r} is empty")
+    instances = _load_nonempty_split(args.corpus, args.split)
     encoded = [encode_instance(i, ckpt.vocab) for i in instances]
     report, _ = evaluate(model, encoded)
     print(json.dumps(report.to_dict(), sort_keys=True))

@@ -11,7 +11,12 @@ passes must not run concurrently: a ``no_grad`` block in one thread turns
 recording off for every other thread too.
 
 The LSTM recurrence is one fused primitive (:func:`lstm_sequence`): a whole
-sequence records a single tape node.
+sequence records a single tape node, with values and gradients bit-identical
+to the same LSTM composed from the per-op primitives. Its backward keeps the
+composition's accumulation order: each parameter's gradient takes one add per
+timestep, in descending t. The per-step terms are never summed first: a
+pairwise reduction over stacked terms (``np.add.reduce``, ``sum``) reorders
+the adds from 8 terms on, and with them the last bits.
 """
 
 from __future__ import annotations
@@ -387,7 +392,19 @@ def lstm_sequence(seq: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
     directions evaluate the expressions, operand shapes and accumulation
     order of the same LSTM composed from ``matmul``, ``add``, ``take_rows``,
     ``sigmoid``, ``tanh``, ``mul`` and ``concat``, so values and gradients
-    equal that composition bit for bit.
+    equal that composition bit for bit:
+
+    - the sigmoid is elementwise, so one call on the whole (4d, 1)
+      pre-activation gives the i/f/o bits of three calls on its slices;
+    - ``w_h @ h`` is left out at t = 0, and so is its gradient term: both
+      are products with the zero initial state, and adding them changes
+      no bit;
+    - each parameter's gradient takes one add per step, in descending t,
+      onto the gradient it held before the call. The steps must never be
+      summed first, as a pairwise reduction (``np.add.reduce``, ``sum``)
+      over the stacked terms would do: that reorders the adds from 8 terms
+      on. The rank-1 terms are written into one scratch buffer per weight
+      matrix and added in place, so no step allocates a gradient.
     """
     xs, wx, wh, bd = seq.data, w_x.data, w_h.data, b.data
     d = wh.shape[-1]
@@ -401,17 +418,15 @@ def lstm_sequence(seq: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
     parents = (seq, w_x, w_h, b)
     record = _grad_enabled and any(p.requires_grad for p in parents)
 
-    out = np.zeros((d, m))
-    h = np.zeros((d, 1))
-    c = np.zeros((d, 1))
+    out = np.empty((d, m))
+    h = c = np.zeros((d, 1))
     cache = []
     for t in range(m):
         x = xs[:, t : t + 1].copy()
-        pre = wx @ x + wh @ h + bd
-        i = _sigmoid(pre[:d])
-        f = _sigmoid(pre[d : 2 * d])
+        pre = wx @ x + bd if t == 0 else wx @ x + wh @ h + bd
+        s = _sigmoid(pre)
+        i, f, o = s[:d], s[d : 2 * d], s[3 * d :]
         g = np.tanh(pre[2 * d : 3 * d])
-        o = _sigmoid(pre[3 * d :])
         c_prev, h_prev = c, h
         c = f * c + i * g
         tc = np.tanh(c)
@@ -421,7 +436,20 @@ def lstm_sequence(seq: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
             cache.append((x, h_prev, c_prev, i, f, g, o, tc))
 
     def bw(gout):
-        dseq = np.zeros(xs.shape) if seq.requires_grad else None
+        # one running gradient per parameter: a fresh ``grad + term`` at the
+        # first step, so the array held before is never written, then one
+        # in-place add per step. Rank-1 terms go into one scratch buffer per
+        # matrix; the products are exact, as the k = 1 matmul's are.
+        grads = {}
+        scratch = {p: np.empty(p.data.shape) for p in (w_x, w_h) if p.requires_grad}
+
+        def accumulate(p, term):
+            if p in grads:
+                grads[p] += term
+            else:
+                grads[p] = (np.zeros(p.data.shape) if p.grad is None else p.grad) + term
+
+        dseq = np.empty(xs.shape) if seq.requires_grad else None
         dh_rec = dc_rec = None  # gradients reaching step t's state from step t+1
         for t in range(m - 1, -1, -1):
             x, h_prev, c_prev, i, f, g, o, tc = cache[t]
@@ -438,16 +466,21 @@ def lstm_sequence(seq: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
                 dc * i * (1.0 - g * g),
                 dh * tc * o * (1.0 - o),
             ])
-            # one accumulation per step, latest first: summing the steps
-            # before accumulating would round differently
-            _accum(b, dpre)
-            _accum(w_x, dpre @ x.T)
-            _accum(w_h, dpre @ h_prev.T)
+            if b.requires_grad:
+                accumulate(b, dpre)
+            if w_x.requires_grad:
+                accumulate(w_x, np.multiply(dpre, x.T, out=scratch[w_x]))
+            if t and w_h.requires_grad:  # at t = 0, h_prev is the zero state
+                accumulate(w_h, np.multiply(dpre, h_prev.T, out=scratch[w_h]))
             if dseq is not None:
                 dseq[:, t : t + 1] = wx.T @ dpre
             if t:
                 dh_rec = wh.T @ dpre
                 dc_rec = dc * f
+        for p, grad in grads.items():
+            p.grad = grad
+        if w_h.requires_grad and w_h.grad is None:  # m = 1: only the zero-state term
+            w_h.grad = np.zeros(wh.shape)
         if dseq is not None:
             _accum(seq, dseq)
 

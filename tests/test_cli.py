@@ -183,6 +183,19 @@ class TestTrainCommand:
         assert not any("MRR" in line for line in printed)
         assert load_checkpoint(out / "best.ckpt").optim.epoch == 1
 
+    def test_empty_train_split_named(self, tmp_path, corpus_dir, capsys):
+        empty = copy_corpus(corpus_dir, tmp_path / "corpus")
+        (empty / "train.jsonl").write_text("")
+        cfg_path = write_config(tmp_path / "c.json", tiny_run_config())
+        rc = main(["train", "--config", cfg_path, "--corpus", str(empty),
+                   "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert [l for l in err.splitlines() if l.startswith("error:")] == [
+            f"error: {empty / 'train.jsonl'}: the split is empty"]
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
     def test_pad_token_in_train_split_named(self, tmp_path, corpus_dir, capsys):
         # used to reach the vocab and fail as "vocab tokens must be unique"
         bad = copy_corpus(corpus_dir, tmp_path / "corpus")
@@ -360,6 +373,36 @@ class TestEvalCommand:
         c = json.loads(no_infer.read_text())
         assert a["steps"] and c["steps"] == []
         assert a["logits"] != c["logits"]
+
+    @pytest.mark.parametrize("command", ["eval", "trace"])
+    @pytest.mark.parametrize("ablate", ["bogus", "no_u,", "no_u,bogus"])
+    def test_unknown_ablation_names_the_flag(self, trained, corpus_dir, tiny_corpus,
+                                             tmp_path, capsys, command, ablate):
+        out, _ = trained
+        argv = {"eval": ["--split", "val"],
+                "trace": ["--dialog", str(tiny_corpus["val"][0].dialog_id),
+                          "--out", str(tmp_path / "trace.json")]}[command]
+        rc = main([command, "--ckpt", str(out / "best.ckpt"), "--corpus", str(corpus_dir),
+                   "--ablate", ablate] + argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert [l for l in err.splitlines() if l.startswith("error:")] == [
+            "error: --ablate: must be among ('no_infer', 'no_u', 'no_q_att', 'no_g_att'), "
+            f"got {ablate!r}"]
+        assert "Traceback" not in err
+        assert not (tmp_path / "trace.json").exists()
+
+    def test_empty_split_named(self, trained, corpus_dir, tmp_path, capsys):
+        out, _ = trained
+        empty = copy_corpus(corpus_dir, tmp_path / "corpus")
+        (empty / "train.jsonl").write_text("")
+        rc = main(["eval", "--ckpt", str(out / "best.ckpt"), "--split", "train",
+                   "--corpus", str(empty)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert [l for l in err.splitlines() if l.startswith("error:")] == [
+            f"error: {empty / 'train.jsonl'}: the split is empty"]
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["eval", "trace"])
     def test_checkpoint_dims_checked_against_corpus(self, corpus_dir, tiny_corpus, tmp_path,

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -122,72 +124,105 @@ class TestLSTM:
 
 class TestFusedMatchesPerOpReference:
     """``lstm_encode`` (one fused tape node) against the per-op oracle:
-    outputs and every gradient compared with ``np.array_equal``."""
+    outputs and every gradient compared with ``np.array_equal`` and byte for
+    byte, so that a -0.0/+0.0 change shows too."""
 
-    D, D_IN = 5, 4
+    # (d, d_in): a small width, and the benchmark's d=64, d_w=32
+    WIDTHS = [(5, 4), (64, 32)]
 
     @staticmethod
-    def _run(encode, build, leaves):
+    def _run(encode, build, leaves, seeds):
         """Outputs with the tape on and off, and the gradients of ``leaves``
-        plus those of the sequences fed to the encoder."""
-        for leaf in leaves:
-            leaf.grad = None
+        plus those of the sequences fed to the encoder. Each leaf's ``.grad``
+        starts as its seed (None, or an array the backward adds onto)."""
+        for leaf, seed in zip(leaves, seeds):
+            leaf.grad = None if seed is None else seed.copy()
+        held = [leaf.grad for leaf in leaves]
         loss, outs, seqs = build(encode)
         T.backward(loss)
+        for before, seed in zip(held, seeds):
+            # the gradient array held before backward is replaced, not written
+            assert seed is None or np.array_equal(before, seed)
         with T.no_grad():
             _, outs_nograd, _ = build(encode)
         grads = [None if t.grad is None else t.grad.copy() for t in leaves + seqs]
         return [o.data for o in outs], [o.data for o in outs_nograd], grads
 
-    def _assert_same(self, build, leaves):
-        fwd, fwd_ng, grads = self._run(lstm_encode, build, leaves)
-        ref, ref_ng, ref_grads = self._run(reference_lstm_encode, build, leaves)
+    @staticmethod
+    def _same(a, b):
+        return np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+    def _assert_same(self, build, leaves, seeds=None):
+        seeds = seeds or [None] * len(leaves)
+        fwd, fwd_ng, grads = self._run(lstm_encode, build, leaves, seeds)
+        ref, ref_ng, ref_grads = self._run(reference_lstm_encode, build, leaves, seeds)
         for a, b, c, e in zip(fwd, fwd_ng, ref, ref_ng):
-            assert np.array_equal(a, c) and np.array_equal(b, e) and np.array_equal(a, b)
+            assert self._same(a, c) and self._same(b, e) and self._same(a, b)
         assert len(grads) == len(ref_grads)
         for g, r in zip(grads, ref_grads):
             assert (g is None) == (r is None)
             if g is not None:
-                assert np.array_equal(g, r)
+                assert self._same(g, r)
 
-    @pytest.mark.parametrize("m", [1, 2, 6])
+    @pytest.mark.parametrize("m", [1, 2, 6, 9, 13])
     def test_single_call(self, m):
-        rng = np.random.default_rng(m)
-        p = LSTMParams.init(self.D_IN, self.D, rng)
-        seq = Tensor(rng.normal(size=(self.D_IN, m)), requires_grad=True)
-        weights = constant(rng.normal(size=(self.D, m)))
-        leaves = [seq, p.w_x, p.w_h, p.b]
+        for (d, d_in), seeded in itertools.product(self.WIDTHS, (False, True)):
+            rng = np.random.default_rng(m)
+            p = LSTMParams.init(d_in, d, rng)
+            seq = Tensor(rng.normal(size=(d_in, m)), requires_grad=True)
+            weights = constant(rng.normal(size=(d, m)))
+            leaves = [seq, p.w_x, p.w_h, p.b]
+            # a shared parameter's .grad already holds other consumers' terms
+            seeds = [None] + [rng.normal(size=t.data.shape) if seeded else None
+                              for t in leaves[1:]]
+
+            def build(encode):
+                out = encode(seq, p)
+                # seq is also read directly, as question.word_embs is
+                return T.mul(out, weights).sum() + T.mul(seq, seq).sum(), [out], []
+
+            self._assert_same(build, leaves, seeds)
+
+    @pytest.mark.parametrize("m", [1, 9])
+    def test_sequence_without_gradient(self, m):
+        d, d_in = self.WIDTHS[1]
+        rng = np.random.default_rng(60 + m)
+        p = LSTMParams.init(d_in, d, rng)
+        seq = constant(rng.normal(size=(d_in, m)))
+        weights = constant(rng.normal(size=(d, m)))
+        leaves = [p.w_x, p.w_h, p.b]
 
         def build(encode):
             out = encode(seq, p)
-            # seq is also read directly, as question.word_embs is
-            return T.mul(out, weights).sum() + T.mul(seq, seq).sum(), [out], []
+            return T.mul(out, weights).sum(), [out], []
 
         self._assert_same(build, leaves)
+        assert seq.grad is None
 
     def test_shared_parameters_and_second_consumer(self):
         # three runs share one LSTM and feed one loss; the first sequence is
         # also read directly, as question.word_embs is by the word attention
-        rng = np.random.default_rng(41)
-        p = LSTMParams.init(self.D_IN, self.D, rng)
-        table = Tensor(rng.normal(size=(9, self.D_IN)), requires_grad=True)
-        streams = [[3, 5, 2, 1], [2, 4, 4, 7, 1, 8], [6]]
-        alpha = constant(rng.normal(size=(1, 4)))
-        w_q = constant(rng.normal(size=(self.D, 4)))
-        leaves = [table, p.w_x, p.w_h, p.b]
+        for d, d_in in self.WIDTHS:
+            rng = np.random.default_rng(41)
+            p = LSTMParams.init(d_in, d, rng)
+            table = Tensor(rng.normal(size=(9, d_in)), requires_grad=True)
+            streams = [[3, 5, 2, 1], [2, 4, 4, 7, 1, 8, 3, 6, 5], [6]]
+            alpha = constant(rng.normal(size=(1, 4)))
+            w_q = constant(rng.normal(size=(d, 4)))
+            leaves = [table, p.w_x, p.w_h, p.b]
 
-        def build(encode):
-            seqs = [embed_tokens(ids, table) for ids in streams]
-            outs, cols = [], []
-            for embs in seqs:
-                outs.append(encode(embs, p))
-                cols.append(T.take_col(outs[-1], outs[-1].data.shape[1] - 1))
-            direct = seqs[0] @ T.transpose(alpha)
-            loss = (T.concat(cols, axis=1).sum() + T.mul(outs[0], w_q).sum()
-                    + T.mul(direct, direct).sum())
-            return loss, outs, seqs
+            def build(encode):
+                seqs = [embed_tokens(ids, table) for ids in streams]
+                outs, cols = [], []
+                for embs in seqs:
+                    outs.append(encode(embs, p))
+                    cols.append(T.take_col(outs[-1], outs[-1].data.shape[1] - 1))
+                direct = seqs[0] @ T.transpose(alpha)
+                loss = (T.concat(cols, axis=1).sum() + T.mul(outs[0], w_q).sum()
+                        + T.mul(direct, direct).sum())
+                return loss, outs, seqs
 
-        self._assert_same(build, leaves)
+            self._assert_same(build, leaves)
 
 
 class TestHistoryAttention:

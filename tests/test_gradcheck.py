@@ -134,17 +134,18 @@ def test_embedding_gradient():
 
 
 def test_lstm_sequence_gradient():
-    # d=2, d_in=3, m=6
-    rng = np.random.default_rng(13)
-    seq = leaf(rng, (3, 6))
-    w_x, w_h, b = leaf(rng, (8, 3)), leaf(rng, (8, 2)), leaf(rng, (8, 1))
-    weights = constant(rng.normal(size=(2, 6)))
-    report = finite_diff_check(
-        lambda: T.mul(T.lstm_sequence(seq, w_x, w_h, b), weights).sum(),
-        [("seq", seq), ("w_x", w_x), ("w_h", w_h), ("b", b)],
-        tol=1e-6,
-    )
-    assert report.passed, report.summary()
+    # d=2, d_in=3; from 8 steps on, a pairwise sum would reorder the adds
+    for m in (6, 9):
+        rng = np.random.default_rng(13)
+        seq = leaf(rng, (3, m))
+        w_x, w_h, b = leaf(rng, (8, 3)), leaf(rng, (8, 2)), leaf(rng, (8, 1))
+        weights = constant(rng.normal(size=(2, m)))
+        report = finite_diff_check(
+            lambda: T.mul(T.lstm_sequence(seq, w_x, w_h, b), weights).sum(),
+            [("seq", seq), ("w_x", w_x), ("w_h", w_h), ("b", b)],
+            tol=1e-6,
+        )
+        assert report.passed, f"m={m}: {report.summary()}"
 
 
 def test_cross_entropy_gradient():
