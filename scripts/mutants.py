@@ -91,6 +91,11 @@ MUTANTS = [
     Mutant("config-file-named", "src/cag/config.py",
            "return cls.from_dict(data)\n        except ValueError",
            "return cls.from_dict(data)\n        except KeyError"),
+    # fused LSTM kernel
+    Mutant("lstm-dwh-shift", "src/cag/tensor.py",
+           "out[:, : m - 1].T", "out[:, 1:].T"),
+    Mutant("lstm-db-first-step", "src/cag/tensor.py",
+           "dpre_all.sum(axis=1, keepdims=True)", "dpre_all[:, 1:].sum(axis=1, keepdims=True)"),
     # forward pass
     Mutant("select-neighbors-unstable", "src/cag/graph.py",
            'kind="stable"', 'kind="quicksort"'),

@@ -11,12 +11,12 @@ passes must not run concurrently: a ``no_grad`` block in one thread turns
 recording off for every other thread too.
 
 The LSTM recurrence is one fused primitive (:func:`lstm_sequence`): a whole
-sequence records a single tape node, with values and gradients bit-identical
-to the same LSTM composed from the per-op primitives. Its backward keeps the
-composition's accumulation order: each parameter's gradient takes one add per
-timestep, in descending t. The per-step terms are never summed first: a
-pairwise reduction over stacked terms (``np.add.reduce``, ``sum``) reorders
-the adds from 8 terms on, and with them the last bits.
+sequence records a single tape node. Its products with the input weights,
+the inputs and the hidden states are formed once per sequence, so only the
+recurrence runs per timestep. For a one-token sequence, values and gradients
+are bit-identical to the same LSTM composed from the per-op primitives; for
+longer ones the per-sequence products sum in another order, and agree with
+that composition to within 1e-12 of each array's largest entry.
 """
 
 from __future__ import annotations
@@ -388,23 +388,26 @@ def lstm_sequence(seq: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
     (4d, d_in), ``w_h`` (4d, d) and ``b`` (4d, 1). Hidden and cell states
     start at zero.
 
-    The run records one tape node whose backward is hand-written BPTT. Both
-    directions evaluate the expressions, operand shapes and accumulation
-    order of the same LSTM composed from ``matmul``, ``add``, ``take_rows``,
-    ``sigmoid``, ``tanh``, ``mul`` and ``concat``, so values and gradients
-    equal that composition bit for bit:
+    The run records one tape node whose backward is hand-written BPTT. Every
+    product with ``w_x``, the input or the hidden states is one matrix
+    product per sequence; only the recurrence (``w_h @ h`` forward, ``w_h.T
+    @ dpre`` backward) runs per step:
 
-    - the sigmoid is elementwise, so one call on the whole (4d, 1)
-      pre-activation gives the i/f/o bits of three calls on its slices;
-    - ``w_h @ h`` is left out at t = 0, and so is its gradient term: both
-      are products with the zero initial state, and adding them changes
-      no bit;
-    - each parameter's gradient takes one add per step, in descending t,
-      onto the gradient it held before the call. The steps must never be
-      summed first, as a pairwise reduction (``np.add.reduce``, ``sum``)
-      over the stacked terms would do: that reorders the adds from 8 terms
-      on. The rank-1 terms are written into one scratch buffer per weight
-      matrix and added in place, so no step allocates a gradient.
+    - forward computes ``w_x @ seq + b`` once, and step t adds ``w_h @ h``
+      to its column from t = 1 on (the initial state is zero);
+    - backward writes each step's pre-activation gradient into column t of
+      one (4d, m) array ``dpre``, then adds ``dpre @ seq.T`` to ``w_x``,
+      ``dpre[:, 1:] @ out[:, :m-1].T`` to ``w_h`` (the output holds the
+      h_{t-1} of every step t >= 1), the row sums of ``dpre`` to ``b`` and
+      ``w_x.T @ dpre`` to ``seq``, one add each.
+
+    At m = 1 this evaluates the expressions of the same LSTM composed from
+    ``matmul``, ``add``, ``take_rows``, ``sigmoid``, ``tanh`` and ``mul``,
+    so values and gradients equal that composition bit for bit; a ``w_h``
+    whose ``.grad`` was None gets zeros, the gradient of its product with
+    the zero state. From m = 2 on, the per-sequence products sum in another
+    order than the per-step composition, and the results agree with it to
+    within 1e-12 of each array's largest entry.
     """
     xs, wx, wh, bd = seq.data, w_x.data, w_h.data, b.data
     d = wh.shape[-1]
@@ -418,41 +421,28 @@ def lstm_sequence(seq: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
     parents = (seq, w_x, w_h, b)
     record = _grad_enabled and any(p.requires_grad for p in parents)
 
+    xwb = wx @ xs + bd
     out = np.empty((d, m))
     h = c = np.zeros((d, 1))
     cache = []
     for t in range(m):
-        x = xs[:, t : t + 1].copy()
-        pre = wx @ x + bd if t == 0 else wx @ x + wh @ h + bd
+        pre = xwb[:, t : t + 1] if t == 0 else xwb[:, t : t + 1] + wh @ h
         s = _sigmoid(pre)
         i, f, o = s[:d], s[d : 2 * d], s[3 * d :]
         g = np.tanh(pre[2 * d : 3 * d])
-        c_prev, h_prev = c, h
+        c_prev = c
         c = f * c + i * g
         tc = np.tanh(c)
         h = o * tc
         out[:, t : t + 1] = h
         if record:
-            cache.append((x, h_prev, c_prev, i, f, g, o, tc))
+            cache.append((c_prev, i, f, g, o, tc))
 
     def bw(gout):
-        # one running gradient per parameter: a fresh ``grad + term`` at the
-        # first step, so the array held before is never written, then one
-        # in-place add per step. Rank-1 terms go into one scratch buffer per
-        # matrix; the products are exact, as the k = 1 matmul's are.
-        grads = {}
-        scratch = {p: np.empty(p.data.shape) for p in (w_x, w_h) if p.requires_grad}
-
-        def accumulate(p, term):
-            if p in grads:
-                grads[p] += term
-            else:
-                grads[p] = (np.zeros(p.data.shape) if p.grad is None else p.grad) + term
-
-        dseq = np.empty(xs.shape) if seq.requires_grad else None
+        dpre_all = np.empty((4 * d, m))
         dh_rec = dc_rec = None  # gradients reaching step t's state from step t+1
         for t in range(m - 1, -1, -1):
-            x, h_prev, c_prev, i, f, g, o, tc = cache[t]
+            c_prev, i, f, g, o, tc = cache[t]
             # the output column, then the recurrent term
             dh = gout[:, t : t + 1]
             if dh_rec is not None:
@@ -460,29 +450,23 @@ def lstm_sequence(seq: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
             dc = (dh * o) * (1.0 - tc * tc)
             if dc_rec is not None:
                 dc = dc + dc_rec
-            dpre = np.concatenate([
-                dc * g * i * (1.0 - i),
-                dc * c_prev * f * (1.0 - f),
-                dc * i * (1.0 - g * g),
-                dh * tc * o * (1.0 - o),
-            ])
-            if b.requires_grad:
-                accumulate(b, dpre)
-            if w_x.requires_grad:
-                accumulate(w_x, np.multiply(dpre, x.T, out=scratch[w_x]))
-            if t and w_h.requires_grad:  # at t = 0, h_prev is the zero state
-                accumulate(w_h, np.multiply(dpre, h_prev.T, out=scratch[w_h]))
-            if dseq is not None:
-                dseq[:, t : t + 1] = wx.T @ dpre
+            dpre = dpre_all[:, t : t + 1]
+            dpre[:d] = dc * g * i * (1.0 - i)
+            dpre[d : 2 * d] = dc * c_prev * f * (1.0 - f)
+            dpre[2 * d : 3 * d] = dc * i * (1.0 - g * g)
+            dpre[3 * d :] = dh * tc * o * (1.0 - o)
             if t:
                 dh_rec = wh.T @ dpre
                 dc_rec = dc * f
-        for p, grad in grads.items():
-            p.grad = grad
-        if w_h.requires_grad and w_h.grad is None:  # m = 1: only the zero-state term
+        _accum(b, dpre_all.sum(axis=1, keepdims=True))
+        _accum(w_x, dpre_all @ xs.T)
+        if m > 1:
+            _accum(w_h, dpre_all[:, 1:] @ out[:, : m - 1].T)
+        elif w_h.requires_grad and w_h.grad is None:
+            # m = 1: the only w_h term is the product with the zero state. It
+            # is not added onto a held gradient: -0.0 + 0.0 flips a sign bit
             w_h.grad = np.zeros(wh.shape)
-        if dseq is not None:
-            _accum(seq, dseq)
+        _accum(seq, wx.T @ dpre_all)
 
     return _out(out, parents, bw)
 

@@ -77,15 +77,16 @@ def train(train_set: Sequence[DialogInstance], val_set: Sequence[DialogInstance]
 
     for epoch in range(cfg.epochs):
         optim.epoch = epoch
-        losses = []
+        losses, skipped = [], 0
         for idx in rng_shuffle.permutation(len(enc_train)):
             enc = enc_train[int(idx)]
             loss = npair_loss(model.forward(enc, drop_rng=rng_dropout).logits, enc.gt)
             losses.append(loss.item())
             T.backward(loss, params.tensors())
-            adam_step(optim, named)
+            if not adam_step(optim, named):  # a non-finite gradient
+                skipped += 1
 
-        row = {"epoch": epoch, "loss": float(np.mean(losses))}
+        row = {"epoch": epoch, "loss": float(np.mean(losses)), "skipped_steps": skipped}
         if enc_val:
             report, _ = evaluate(model, enc_val)
             row.update({"MRR": report.mrr, "R@1": report.r_at_1,

@@ -109,7 +109,9 @@ class TestTrainCommand:
         out, cfg = trained
         rows = [json.loads(l) for l in (out / "metrics.jsonl").read_text().splitlines()]
         assert len(rows) == cfg.epochs
-        assert list(rows[0]) == ["epoch", "loss", "MRR", "R@1", "R@5", "R@10", "Mean", "lr"]
+        assert list(rows[0]) == ["epoch", "loss", "skipped_steps", "MRR", "R@1", "R@5",
+                                 "R@10", "Mean", "lr"]
+        assert all(row["skipped_steps"] == 0 for row in rows)
         assert (out / "best.ckpt").exists()
 
     def test_identical_config_gives_identical_bytes(self, tmp_path, corpus_dir):

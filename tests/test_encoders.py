@@ -25,7 +25,7 @@ def np_sigmoid(x):
 
 def reference_lstm_encode(seq, params):
     """The LSTM as a composition of tape primitives, one node per op: the
-    oracle the fused ``lstm_encode`` must match bit for bit."""
+    oracle the fused ``lstm_encode`` must match (bit for bit at m = 1)."""
     d = params.w_h.data.shape[1]
     m = seq.data.shape[1]
     h = T.constant(np.zeros((d, 1)))
@@ -123,9 +123,12 @@ class TestLSTM:
 
 
 class TestFusedMatchesPerOpReference:
-    """``lstm_encode`` (one fused tape node) against the per-op oracle:
-    outputs and every gradient compared with ``np.array_equal`` and byte for
-    byte, so that a -0.0/+0.0 change shows too."""
+    """``lstm_encode`` (one fused tape node) against the per-op oracle. At
+    m = 1 the outputs and every gradient are compared with ``np.array_equal``
+    and byte for byte, so that a -0.0/+0.0 change shows too. From m = 2 on
+    the fused run forms its products once per sequence, which sums in another
+    order, so each array must match to within 1e-12 of its largest entry.
+    The tape-on and tape-off outputs are byte-equal at every length."""
 
     # (d, d_in): a small width, and the benchmark's d=64, d_w=32
     WIDTHS = [(5, 4), (64, 32)]
@@ -152,17 +155,24 @@ class TestFusedMatchesPerOpReference:
     def _same(a, b):
         return np.array_equal(a, b) and a.tobytes() == b.tobytes()
 
-    def _assert_same(self, build, leaves, seeds=None):
+    @staticmethod
+    def _close(a, b):
+        """``a`` equals ``b`` to within 1e-12 of ``b``'s largest entry."""
+        return a.shape == b.shape and np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    def _assert_same(self, build, leaves, seeds=None, exact=False):
+        """Compare with the oracle byte for byte if ``exact``, else to 1e-12."""
         seeds = seeds or [None] * len(leaves)
+        match = self._same if exact else self._close
         fwd, fwd_ng, grads = self._run(lstm_encode, build, leaves, seeds)
-        ref, ref_ng, ref_grads = self._run(reference_lstm_encode, build, leaves, seeds)
-        for a, b, c, e in zip(fwd, fwd_ng, ref, ref_ng):
-            assert self._same(a, c) and self._same(b, e) and self._same(a, b)
+        ref, _, ref_grads = self._run(reference_lstm_encode, build, leaves, seeds)
+        for a, b, c in zip(fwd, fwd_ng, ref):
+            assert self._same(a, b) and match(a, c)
         assert len(grads) == len(ref_grads)
         for g, r in zip(grads, ref_grads):
             assert (g is None) == (r is None)
             if g is not None:
-                assert self._same(g, r)
+                assert match(g, r)
 
     @pytest.mark.parametrize("m", [1, 2, 6, 9, 13])
     def test_single_call(self, m):
@@ -181,7 +191,7 @@ class TestFusedMatchesPerOpReference:
                 # seq is also read directly, as question.word_embs is
                 return T.mul(out, weights).sum() + T.mul(seq, seq).sum(), [out], []
 
-            self._assert_same(build, leaves, seeds)
+            self._assert_same(build, leaves, seeds, exact=m == 1)
 
     @pytest.mark.parametrize("m", [1, 9])
     def test_sequence_without_gradient(self, m):
@@ -196,7 +206,7 @@ class TestFusedMatchesPerOpReference:
             out = encode(seq, p)
             return T.mul(out, weights).sum(), [out], []
 
-        self._assert_same(build, leaves)
+        self._assert_same(build, leaves, exact=m == 1)
         assert seq.grad is None
 
     def test_shared_parameters_and_second_consumer(self):

@@ -134,8 +134,8 @@ def test_embedding_gradient():
 
 
 def test_lstm_sequence_gradient():
-    # d=2, d_in=3; from 8 steps on, a pairwise sum would reorder the adds
-    for m in (6, 9):
+    # d=2, d_in=3; m = 1 and 2 are the edges of the w_h term's one-step shift
+    for m in (1, 2, 6, 9):
         rng = np.random.default_rng(13)
         seq = leaf(rng, (3, m))
         w_x, w_h, b = leaf(rng, (8, 3)), leaf(rng, (8, 2)), leaf(rng, (8, 1))

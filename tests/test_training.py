@@ -53,8 +53,25 @@ class TestTrain:
         cfg = tiny_run_config(epochs=1, seed=3)
         _, _, result, _ = train(tiny_corpus["train"], tiny_corpus["val"], cfg)
         row = result.log_rows[0]
-        assert set(row) == {"epoch", "loss", "MRR", "R@1", "R@5", "R@10", "Mean", "lr"}
-        assert row["lr"] == cfg.lr
+        assert set(row) == {"epoch", "loss", "skipped_steps", "MRR", "R@1", "R@5",
+                            "R@10", "Mean", "lr"}
+        assert row["lr"] == cfg.lr and row["skipped_steps"] == 0
+
+    def test_skipped_steps_counts_rejected_updates(self, tiny_corpus, monkeypatch):
+        from cag import tensor as T
+
+        backward, calls = T.backward, []
+
+        def poisoned(loss, params):
+            backward(loss, params)
+            calls.append(None)
+            if len(calls) == 2:  # one non-finite gradient, in the first epoch
+                params[0].grad[0, 0] = np.nan
+
+        monkeypatch.setattr(T, "backward", poisoned)
+        _, optim, result, _ = train(tiny_corpus["train"][:3], [], tiny_run_config(epochs=2))
+        assert [row["skipped_steps"] for row in result.log_rows] == [1, 0]
+        assert optim.step_count == 2 * 3 - 1
 
     def test_best_snapshot_tracks_val_mrr(self, tiny_corpus):
         cfg = tiny_run_config(epochs=3, seed=4)
