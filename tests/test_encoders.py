@@ -128,7 +128,8 @@ class TestFusedMatchesPerOpReference:
     and byte for byte, so that a -0.0/+0.0 change shows too. From m = 2 on
     the fused run forms its products once per sequence, which sums in another
     order, so each array must match to within 1e-12 of its largest entry.
-    The tape-on and tape-off outputs are byte-equal at every length."""
+    Each encoder's tape-on and tape-off outputs are byte-equal at every
+    length."""
 
     # (d, d_in): a small width, and the benchmark's d=64, d_w=32
     WIDTHS = [(5, 4), (64, 32)]
@@ -165,9 +166,9 @@ class TestFusedMatchesPerOpReference:
         seeds = seeds or [None] * len(leaves)
         match = self._same if exact else self._close
         fwd, fwd_ng, grads = self._run(lstm_encode, build, leaves, seeds)
-        ref, _, ref_grads = self._run(reference_lstm_encode, build, leaves, seeds)
-        for a, b, c in zip(fwd, fwd_ng, ref):
-            assert self._same(a, b) and match(a, c)
+        ref, ref_ng, ref_grads = self._run(reference_lstm_encode, build, leaves, seeds)
+        for a, b, c, e in zip(fwd, fwd_ng, ref, ref_ng):
+            assert self._same(a, b) and self._same(c, e) and match(a, c)
         assert len(grads) == len(ref_grads)
         for g, r in zip(grads, ref_grads):
             assert (g is None) == (r is None)
