@@ -10,12 +10,14 @@ configurations (the benchmark's three workload shapes, then the no_u,
 no_infer, no_q_att and no_g_att ablations and the dualq variant on the
 first shape), traces the first run once more under the eval-time no_u
 ablation, and prints one ``sha256  path`` line per artifact: each corpus
-file, and each run's metrics.jsonl, best.ckpt, val eval report and trace
-JSON. Each checkpoint also gets a ``sha256  runs/<run>/best.ckpt#params``
-line: the hash of its parameter arrays alone (name, shape and bytes, in
-name order), so a change to the container format that keeps the weights
-shows identical ``#params`` lines. Paths are relative to the temporary
-directory, so two checkouts with identical numerics print identical output.
+file, ``corpus/sweep.jsonl`` (generated dialogs over the generator's whole
+``n_objects`` range, see ``SWEEP``), and each run's metrics.jsonl,
+best.ckpt, val eval report and trace JSON. Each checkpoint also gets a
+``sha256  runs/<run>/best.ckpt#params`` line: the hash of its parameter
+arrays alone (name, shape and bytes, in name order), so a change to the
+container format that keeps the weights shows identical ``#params`` lines.
+Paths are relative to the temporary directory, so two checkouts with
+identical numerics print identical output.
 
 The output opens with ``#`` lines naming the numpy version and BLAS
 library, because floating-point results are only comparable between runs
@@ -25,6 +27,7 @@ on the same ones.
 import contextlib
 import hashlib
 import io
+import json
 import logging
 import os
 import sys
@@ -38,7 +41,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from cag.checkpoint import load_checkpoint  # noqa: E402
 from cag.cli import main  # noqa: E402
 from cag.config import RunConfig  # noqa: E402
-from cag.synthdial import CorpusManifest, load_split  # noqa: E402
+from cag.synthdial import (  # noqa: E402
+    MAX_OBJECTS,
+    MIN_OBJECTS,
+    CorpusManifest,
+    generate_corpus,
+    instance_to_dict,
+    load_split,
+)
 
 # corpus name -> (n_objects, rounds, candidates)
 CORPORA = {
@@ -47,6 +57,12 @@ CORPORA = {
     "long_dialog": (5, 10, 20),
 }
 SPLITS = {"train": 40, "val": 10, "test": 5}
+# corpus/sweep.jsonl: SWEEP_DIALOGS train dialogs of seed 1 for every
+# (n_objects, rounds) pair, at 20 candidates: 840 dialogs, generated in
+# under a second
+SWEEP_DIALOGS = 20
+SWEEP = [(n_objects, rounds) for n_objects in range(MIN_OBJECTS, MAX_OBJECTS + 1)
+         for rounds in (2, 3, 10)]
 MODEL = dict(d=64, d_w=32, d_v=16, dropout=0.3, lr=4e-4, epochs=2, seed=13)
 # run name -> (corpus, config overrides)
 RUNS = {
@@ -71,6 +87,17 @@ def cag(*argv: str) -> str:
     return out.getvalue()
 
 
+def write_sweep(path: str) -> None:
+    """The SWEEP dialogs, one line each in ``save_corpus``'s format."""
+    with open(path, "w") as fh:
+        for n_objects, rounds in SWEEP:
+            manifest = CorpusManifest(seed=1, splits={"train": SWEEP_DIALOGS},
+                                      n_objects=n_objects, rounds=rounds, candidates=20)
+            for inst in generate_corpus(manifest)["train"]:
+                fh.write(json.dumps(instance_to_dict(inst),
+                                    sort_keys=True, separators=(",", ":")) + "\n")
+
+
 def produce() -> None:
     """Write every artifact under the current directory."""
     for seed, (name, (n_objects, rounds, candidates)) in enumerate(CORPORA.items(), 101):
@@ -78,6 +105,7 @@ def produce() -> None:
                                   rounds=rounds, candidates=candidates)
         Path(f"{name}.manifest.json").write_text(manifest.to_json())
         cag("gen", "--manifest", f"{name}.manifest.json", "--out", f"corpus/{name}")
+    write_sweep("corpus/sweep.jsonl")
     for run, (corpus, overrides) in RUNS.items():
         corpus_dir = f"corpus/{corpus}"
         Path(f"{run}.config.json").write_text(RunConfig(**MODEL, **overrides).to_json())

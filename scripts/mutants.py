@@ -79,6 +79,9 @@ MUTANTS = [
            "if type(grid) is not int or grid < 1:", "if grid < 1:"),
     Mutant("corpus-cell-range", "src/cag/synthdial.py",
            "0 <= cell[1] < grid):", "0 <= cell[1] <= grid):"),
+    Mutant("scene-min-objects", "src/cag/synthdial.py",
+           "if not MIN_OBJECTS <= n_objects <= MAX_OBJECTS:",
+           "if not n_objects <= MAX_OBJECTS:"),
     Mutant("manifest-candidates", "src/cag/synthdial.py",
            "if not 2 <= self.candidates <= MAX_CANDIDATES:", "if not 2 <= self.candidates:"),
     # config boundary

@@ -49,11 +49,6 @@ class Vocab:
         return [self.token_to_id.get(tok, self.UNK) for tok in tokens]
 
 
-def embed_tokens(ids: Sequence[int], table: Tensor) -> Tensor:
-    """(d_w, m) column per token id."""
-    return T.embedding_cols(table, ids)
-
-
 # ---------------------------------------------------------------------------
 # LSTM
 # ---------------------------------------------------------------------------
@@ -102,7 +97,7 @@ def encode_question(ids: Sequence[int], table: Tensor, params: LSTMParams) -> En
     """Embed, LSTM-encode and summarize one token sequence; the sentence
     path shared by the question, every history round and every candidate.
     Sequences are never padded (the corpus loader refuses ``<pad>``)."""
-    embs = embed_tokens(ids, table)
+    embs = T.embedding_cols(table, ids)
     hid = lstm_encode(embs, params)
     return EncodedQuestion(embs, hid, T.take_col(hid, hid.data.shape[1] - 1))
 

@@ -2,10 +2,11 @@
 
 A scene is a handful of attributed objects on a grid; a dialog is a caption
 plus several templated QA rounds where later questions refer to the
-previous round's subject by pronoun. A symbolic oracle answers every
-resolved question exactly, so ground truth is free and verifiable. The
-whole corpus is a pure function of its manifest: every dialog draws from
-an rng stream derived from (seed, dialog id).
+previous round's one subject object by pronoun ("he" for a person, else
+"it"). Each question is a :class:`ResolvedQuestion` form: :func:`question_tokens`
+words it and the symbolic oracle answers it exactly, so ground truth is free
+and verifiable. The whole corpus is a pure function of its manifest: every
+dialog draws from an rng stream derived from (seed, dialog id).
 """
 
 from __future__ import annotations
@@ -24,7 +25,10 @@ from .encoders import PAD_TOKEN, UNK_TOKEN
 CATEGORIES = ("person", "dog", "cat", "car", "tree", "ball")
 COLORS = ("red", "blue", "green", "yellow", "black", "white")
 SIZES = ("small", "big")
-RELATIONS = ("left", "right", "above", "below")
+# relation -> (cell axis, sign, words); it holds when sign * (subject's cell
+# - reference's cell) > 0 on that axis, never for equal coordinates
+RELATIONS = {"left": (0, -1, ("left", "of")), "right": (0, 1, ("right", "of")),
+             "above": (1, -1, ("above",)), "below": (1, 1, ("below",))}
 PLURALS = {"person": "people", "dog": "dogs", "cat": "cats",
            "car": "cars", "tree": "trees", "ball": "balls"}
 
@@ -89,12 +93,13 @@ def encode_object(obj: SceneObject, grid: int) -> np.ndarray:
 
 def generate_scene(rng: np.random.Generator, n_objects: int = 6, grid: int = 4) -> Scene:
     """Uniform attribute sampling; (category, color) pairs never collide
-    (always avoidable at <= 16 objects over 36 pairs). Object counts clamp
-    to [3, 16]."""
-    n = min(max(n_objects, MIN_OBJECTS), MAX_OBJECTS)
+    (always avoidable at <= 16 objects over 36 pairs). ``n_objects`` outside
+    [MIN_OBJECTS, MAX_OBJECTS] is a ValueError."""
+    if not MIN_OBJECTS <= n_objects <= MAX_OBJECTS:
+        raise ValueError(f"n_objects must be in [{MIN_OBJECTS}, {MAX_OBJECTS}], got {n_objects}")
     used: set[tuple[str, str]] = set()
     objects = []
-    for _ in range(n):
+    for _ in range(n_objects):
         while True:
             cat = CATEGORIES[rng.integers(len(CATEGORIES))]
             color = COLORS[rng.integers(len(COLORS))]
@@ -139,19 +144,6 @@ def _matches(obj: SceneObject, category: str | None, color: str | None) -> bool:
         color is None or obj.color == color)
 
 
-def _relation_holds(a: SceneObject, b: SceneObject, relation: str) -> bool:
-    # strict inequalities: equal coordinates never satisfy a relation
-    if relation == "left":
-        return a.cell[0] < b.cell[0]
-    if relation == "right":
-        return a.cell[0] > b.cell[0]
-    if relation == "above":
-        return a.cell[1] < b.cell[1]
-    if relation == "below":
-        return a.cell[1] > b.cell[1]
-    raise ValueError(f"unknown relation {relation!r}")
-
-
 def oracle_answer(scene: Scene, question: ResolvedQuestion) -> str:
     """Exact symbolic evaluation over scene attributes and relations.
 
@@ -188,7 +180,10 @@ def oracle_answer(scene: Scene, question: ResolvedQuestion) -> str:
         if question.ref_id is None or question.relation is None:
             raise UnresolvedReferent("spatial question missing reference or relation")
         ref = objs[question.ref_id]
-        return "yes" if all(_relation_holds(o, ref, question.relation)
+        if question.relation not in RELATIONS:
+            raise ValueError(f"unknown relation {question.relation!r}")
+        axis, sign, _ = RELATIONS[question.relation]
+        return "yes" if all(sign * (o.cell[axis] - ref.cell[axis]) > 0
                             for o in subjects) else "no"
     raise ValueError(f"unknown question kind {kind!r}")
 
@@ -199,42 +194,32 @@ def answer_type(question: ResolvedQuestion) -> str:
 
 
 def binding_answers(scene: Scene, question: ResolvedQuestion, pronoun: str) -> set[str]:
-    """Answers achievable when the pronoun binds freely (no history).
-
-    'it' ranges over non-person objects, 'he' over persons, 'they' over
-    category groups of size >= 2 (skipping groups without a well-defined
-    answer).
-    """
-    answers: set[str] = set()
-    if pronoun == "they":
-        for cat in CATEGORIES:
-            ids = tuple(i for i, o in enumerate(scene.objects) if o.category == cat)
-            if len(ids) < 2:
-                continue
-            try:
-                answers.add(oracle_answer(
-                    scene, dataclasses.replace(question, subject_ids=ids)))
-            except UnresolvedReferent:
-                continue
-        return answers
-    want_person = pronoun == "he"
-    for i, obj in enumerate(scene.objects):
-        if (obj.category == "person") != want_person:
-            continue
-        if question.kind == "spatial" and i == question.ref_id:
-            continue
-        answers.add(oracle_answer(
-            scene, dataclasses.replace(question, subject_ids=(i,))))
-    return answers
+    """Answers achievable when the pronoun binds freely (no history): 'he'
+    ranges over the persons, 'it' over every other object but a spatial
+    question's reference, each taken as the question's one subject."""
+    return {oracle_answer(scene, dataclasses.replace(question, subject_ids=(i,)))
+            for i, o in enumerate(scene.objects)
+            if (o.category == "person") == (pronoun == "he") and i != question.ref_id}
 
 
+def question_tokens(scene: Scene, form: ResolvedQuestion,
+                    pronoun: str | None = None) -> list[str]:
+    """The words of a generated question, from its form alone. A color_of,
+    size_of or spatial subject is ``pronoun``, else "the <category>"."""
+    if form.kind == "exists":
+        return ["is", "there", "a", form.color, form.category]
+    if form.kind == "count":  # by category or by color
+        noun = [PLURALS[form.category]] if form.category else [form.color, "things"]
+        return ["how", "many", *noun, "are", "there"]
+    subject = [pronoun] if pronoun else ["the", scene.objects[form.subject_ids[0]].category]
+    if form.kind == "spatial":
+        _, _, words = RELATIONS[form.relation]
+        return ["is", *subject, *words, "the", scene.objects[form.ref_id].category]
+    return ["what", {"color_of": "color", "size_of": "size"}[form.kind], "is", *subject]
+
+
+# the generator writes only "it" and "he"; loaded files may hold "they" too
 PRONOUNS = ("it", "he", "they")
-
-
-def pronoun_for(subject: Sequence[SceneObject]) -> str:
-    if len(subject) > 1:
-        return "they"
-    return "he" if subject[0].category == "person" else "it"
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +236,9 @@ class DialogRound:
 
     @property
     def pronoun(self) -> bool:
-        """Whether the question refers back by pronoun; no establishing
-        template uses the words :func:`pronoun_for` emits."""
+        """Whether the question refers back by pronoun: it holds one of
+        :data:`PRONOUNS`. An establishing question names its subject as
+        "the <category>", so it holds none."""
         return any(tok in PRONOUNS for tok in self.question)
 
 
@@ -285,6 +271,14 @@ def _choice(rng: np.random.Generator, items: Sequence):
     return items[int(rng.integers(len(items)))]
 
 
+def _round(scene: Scene, form: ResolvedQuestion, subject_ids: tuple[int, ...],
+           pronoun: str | None = None) -> DialogRound:
+    """The round asking ``form``; ``subject_ids`` are what a following
+    pronoun round refers to."""
+    return DialogRound(question_tokens(scene, form, pronoun),
+                       oracle_answer(scene, form), form, subject_ids)
+
+
 def _establishing_round(scene: Scene, rng: np.random.Generator,
                         need_subject: bool) -> DialogRound:
     """A fresh (non-pronoun) round; with ``need_subject`` it always pins a
@@ -307,53 +301,34 @@ def _establishing_round(scene: Scene, rng: np.random.Generator,
         if template == "exists_pos":
             i = int(rng.integers(len(scene.objects)))
             obj = scene.objects[i]
-            form = ResolvedQuestion("exists", category=obj.category, color=obj.color)
-            q = ["is", "there", "a", obj.color, obj.category]
-            # (category, color) pairs are unique by construction
-            return DialogRound(q, "yes", form, (i,))
-        if template == "exists_neg":
-            present = {(o.category, o.color) for o in scene.objects}
+            form, ids = ResolvedQuestion("exists", category=obj.category, color=obj.color), (i,)
+        elif template == "exists_neg":
             cat, color = _choice(rng, CATEGORIES), _choice(rng, COLORS)
-            if (cat, color) in present:
+            form, ids = ResolvedQuestion("exists", category=cat, color=color), ()
+            if oracle_answer(scene, form) == "yes":
                 continue
-            form = ResolvedQuestion("exists", category=cat, color=color)
-            return DialogRound(["is", "there", "a", color, cat], "no", form, ())
-        if template in ("color_of", "size_of"):
+        elif template in ("color_of", "size_of"):
             if not unique_ids:
                 continue
             i = _choice(rng, unique_ids)
-            obj = scene.objects[i]
-            kind = template
-            form = ResolvedQuestion(kind, subject_ids=(i,))
-            word = "color" if kind == "color_of" else "size"
-            q = ["what", word, "is", "the", obj.category]
-            return DialogRound(q, oracle_answer(scene, form), form, (i,))
-        if template == "spatial":
+            form, ids = ResolvedQuestion(template, subject_ids=(i,)), (i,)
+        elif template == "spatial":
             if len(unique_ids) < 2:
                 continue
-            i, j = rng.choice(unique_ids, size=2, replace=False)
-            i, j = int(i), int(j)
-            rel = _choice(rng, RELATIONS)
-            form = ResolvedQuestion("spatial", subject_ids=(i,), ref_id=j, relation=rel)
-            a, b = scene.objects[i], scene.objects[j]
-            rel_tokens = [rel, "of"] if rel in ("left", "right") else [rel]
-            q = ["is", "the", a.category] + rel_tokens + ["the", b.category]
-            return DialogRound(q, oracle_answer(scene, form), form, (i,))
-        if template == "count":
+            i, j = (int(k) for k in rng.choice(unique_ids, size=2, replace=False))
+            form = ResolvedQuestion("spatial", subject_ids=(i,), ref_id=j,
+                                    relation=_choice(rng, tuple(RELATIONS)))
+            ids = (i,)
+        elif template == "count":
             cat = _choice(rng, sorted({o.category for o in scene.objects}))
             ids = tuple(i for i, o in enumerate(scene.objects) if o.category == cat)
             if need_subject and len(ids) != 1:
-                # plural subjects only chain into group questions; keep round
-                # R-1 singular so the final round always has a pronoun form
+                # a group gets no pronoun round, and the final round needs one
                 continue
             form = ResolvedQuestion("count", category=cat)
-            q = ["how", "many", PLURALS[cat], "are", "there"]
-            return DialogRound(q, oracle_answer(scene, form), form, ids)
-        if template == "count_color":
-            color = _choice(rng, COLORS)
-            form = ResolvedQuestion("count", color=color)
-            q = ["how", "many", color, "things", "are", "there"]
-            return DialogRound(q, oracle_answer(scene, form), form, ())
+        else:  # count_color
+            form, ids = ResolvedQuestion("count", color=_choice(rng, COLORS)), ()
+        return _round(scene, form, ids)
     raise GenerationError("no establishing template fits this scene")
 
 
@@ -364,44 +339,33 @@ def _pronoun_round(scene: Scene, rng: np.random.Generator,
     template fits. ``require_ambiguity`` additionally demands that an
     unbound pronoun could reach at least two distinct answers.
 
+    A group subject gets None before any rng draw: no generated scene has
+    two objects of one category and one color to ask about as "they".
+
     Color questions dominate the mix: they have the widest answer space,
     so resolving the referent through history matters most there. Same-
     attribute follow-ups are allowed ("what color is the dog" -> "what
     color is it"), putting the answer verbatim in the previous round.
     """
-    subjects = [scene.objects[i] for i in subject_ids]
-    pron = pronoun_for(subjects)
-    if pron == "they":
-        templates = ["color_of"]
-    else:
-        templates = ["color_of"] * 3 + ["size_of", "spatial"]
-    order = list(rng.permutation(len(templates)))
-    for idx in order:
+    if len(subject_ids) != 1:
+        return None
+    (i,) = subject_ids
+    pron = "he" if scene.objects[i].category == "person" else "it"
+    templates = ("color_of", "color_of", "color_of", "size_of", "spatial")
+    for idx in rng.permutation(len(templates)):
         kind = templates[idx]
-        if kind == "color_of":
-            if len({o.color for o in subjects}) != 1:
+        if kind == "spatial":
+            ref_ids = [j for j in _unique_category_ids(scene) if j != i]
+            if not ref_ids:
                 continue
-            form = ResolvedQuestion("color_of", subject_ids=subject_ids)
-            verb = "are" if pron == "they" else "is"
-            q = ["what", "color", verb, pron]
-        elif kind == "size_of":
-            if len(subjects) != 1:
-                continue
-            form = ResolvedQuestion("size_of", subject_ids=subject_ids)
-            q = ["what", "size", "is", pron]
+            j = _choice(rng, ref_ids)
+            form = ResolvedQuestion("spatial", subject_ids=subject_ids, ref_id=j,
+                                    relation=_choice(rng, tuple(RELATIONS)))
         else:
-            unique_ids = [i for i in _unique_category_ids(scene) if i not in subject_ids]
-            if not unique_ids or len(subjects) != 1:
-                continue
-            j = _choice(rng, unique_ids)
-            rel = _choice(rng, RELATIONS)
-            form = ResolvedQuestion("spatial", subject_ids=subject_ids,
-                                    ref_id=j, relation=rel)
-            rel_tokens = [rel, "of"] if rel in ("left", "right") else [rel]
-            q = ["is", pron] + rel_tokens + ["the", scene.objects[j].category]
+            form = ResolvedQuestion(kind, subject_ids=subject_ids)
         if require_ambiguity and len(binding_answers(scene, form, pron)) < 2:
             continue
-        return DialogRound(q, oracle_answer(scene, form), form, subject_ids)
+        return _round(scene, form, subject_ids, pron)
     return None
 
 

@@ -8,7 +8,6 @@ from cag.encoders import (
     LSTMParams,
     StepAttentionParams,
     Vocab,
-    embed_tokens,
     encode_history,
     encode_question,
     history_attention,
@@ -223,7 +222,7 @@ class TestFusedMatchesPerOpReference:
             leaves = [table, p.w_x, p.w_h, p.b]
 
             def build(encode):
-                seqs = [embed_tokens(ids, table) for ids in streams]
+                seqs = [T.embedding_cols(table, ids) for ids in streams]
                 outs, cols = [], []
                 for embs in seqs:
                     outs.append(encode(embs, p))
@@ -363,5 +362,5 @@ class TestEncodeHistory:
         lstm = LSTMParams.init(3, 4, rng)
         ids = [2, 5, 7]
         hist = encode_history([ids], table, lstm)
-        hid = lstm_encode(embed_tokens(ids, table), lstm)
+        hid = lstm_encode(T.embedding_cols(table, ids), lstm)
         np.testing.assert_array_equal(hist.data[:, 0], hid.data[:, 2])

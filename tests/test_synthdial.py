@@ -19,6 +19,7 @@ from cag.synthdial import (
     Scene,
     SceneObject,
     UnresolvedReferent,
+    _pronoun_round,
     binding_answers,
     build_candidates,
     encode_object,
@@ -29,6 +30,7 @@ from cag.synthdial import (
     instance_to_dict,
     load_split,
     oracle_answer,
+    question_tokens,
     save_corpus,
 )
 from cag.training import evaluate
@@ -45,10 +47,10 @@ def small_scene():
 
 class TestScene:
     def test_object_count_clamped(self):
-        scene = generate_scene(np.random.default_rng(0), n_objects=1)
-        assert len(scene.objects) == 3
-        scene = generate_scene(np.random.default_rng(0), n_objects=99)
-        assert len(scene.objects) == 16
+        # out-of-range counts are refused, not clamped
+        for n in (1, 99):
+            with pytest.raises(ValueError, match=rf"n_objects must be in \[3, 16\], got {n}"):
+                generate_scene(np.random.default_rng(0), n_objects=n)
 
     def test_fixed_seed_reproduces_scene(self):
         a = generate_scene(np.random.default_rng(7), 6)
@@ -110,6 +112,16 @@ class TestOracle:
         q = ResolvedQuestion("spatial", subject_ids=(0,), ref_id=1, relation="left")
         assert oracle_answer(scene, q) == "yes"
 
+    @pytest.mark.parametrize("relation,subject,ref", [
+        ("left", 0, 1), ("right", 1, 0), ("above", 0, 2), ("below", 2, 0)])
+    def test_each_relation_compares_one_axis(self, relation, subject, ref):
+        # dog (0, 1), tree (2, 1), person (1, 3): true one way, false the other
+        scene = small_scene()
+        q = ResolvedQuestion("spatial", subject_ids=(subject,), ref_id=ref, relation=relation)
+        assert oracle_answer(scene, q) == "yes"
+        q = ResolvedQuestion("spatial", subject_ids=(ref,), ref_id=subject, relation=relation)
+        assert oracle_answer(scene, q) == "no"
+
     def test_color_after_establishing_round(self):
         # "is there a dog" / yes, then "what color is it" resolves to the dog
         scene = small_scene()
@@ -129,6 +141,47 @@ class TestOracle:
         ] + small_scene().objects[1:], grid=4)
         with pytest.raises(UnresolvedReferent):
             oracle_answer(scene, ResolvedQuestion("color_of", subject_ids=(0, 1)))
+
+
+# form -> its words, "{}" standing for the subject: "the <category>" with no
+# pronoun, else the pronoun; exists and count questions have no subject
+WORDING = [
+    (ResolvedQuestion("exists", category="dog", color="red"), "is there a red dog"),
+    (ResolvedQuestion("count", category="person"), "how many people are there"),
+    (ResolvedQuestion("count", color="green"), "how many green things are there"),
+    (ResolvedQuestion("color_of", subject_ids=(0,)), "what color is {}"),
+    (ResolvedQuestion("size_of", subject_ids=(2,)), "what size is {}"),
+    (ResolvedQuestion("spatial", subject_ids=(0,), ref_id=1, relation="left"),
+     "is {} left of the tree"),
+    (ResolvedQuestion("spatial", subject_ids=(0,), ref_id=1, relation="right"),
+     "is {} right of the tree"),
+    (ResolvedQuestion("spatial", subject_ids=(2,), ref_id=0, relation="above"),
+     "is {} above the dog"),
+    (ResolvedQuestion("spatial", subject_ids=(2,), ref_id=0, relation="below"),
+     "is {} below the dog"),
+]
+
+
+class TestWording:
+    @pytest.mark.parametrize("pronoun", [None, "it", "he"])
+    @pytest.mark.parametrize("form,words", WORDING,
+                             ids=[w.replace(" {}", "").replace(" ", "_") for _, w in WORDING])
+    def test_question_tokens(self, form, words, pronoun):
+        scene = small_scene()
+        subject = pronoun or (f"the {scene.objects[form.subject_ids[0]].category}"
+                              if form.subject_ids else "")
+        assert question_tokens(scene, form, pronoun) == words.format(subject).split()
+
+    @pytest.mark.parametrize("require_ambiguity", [False, True])
+    def test_group_gets_no_pronoun_round_and_no_draw(self, require_ambiguity):
+        # even a group that shares its one color: no template asks about "they"
+        scene = Scene([SceneObject("dog", "red", "small", (0, 0)),
+                       SceneObject("dog", "red", "big", (1, 0))] + small_scene().objects[1:],
+                      grid=4)
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        assert _pronoun_round(scene, rng, (0, 1), require_ambiguity) is None
+        assert rng.bit_generator.state == before
 
 
 class TestCandidates:
@@ -164,7 +217,7 @@ class TestDialog:
             inst = generate_dialog(scene, rng, 4, 10)
             assert inst.current.pronoun
             assert inst.current.subject_ids == inst.rounds[-2].subject_ids
-            assert any(p in inst.current.question for p in ("it", "he", "they"))
+            assert any(p in inst.current.question for p in ("it", "he"))
 
     def test_ground_truth_round_trips_through_oracle(self):
         for seed in range(10):
@@ -205,7 +258,7 @@ class TestHistoryNecessity:
         corpus = generate_corpus(manifest)
         for inst in corpus["train"]:
             assert inst.current.pronoun
-            pron = next(p for p in ("they", "he", "it") if p in inst.current.question)
+            pron = next(p for p in ("he", "it") if p in inst.current.question)
             answers = binding_answers(inst.scene, inst.current.form, pron)
             consistent = answers & set(inst.candidates)
             assert len(consistent) >= 2, (
