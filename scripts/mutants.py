@@ -99,6 +99,9 @@ MUTANTS = [
            "out[:, : m - 1].T", "out[:, 1:].T"),
     Mutant("lstm-db-first-step", "src/cag/tensor.py",
            "dpre_all.sum(axis=1, keepdims=True)", "dpre_all[:, 1:].sum(axis=1, keepdims=True)"),
+    # eval sentence memo
+    Mutant("sentence-memo-key", "src/cag/encoders.py",
+           "key = tuple(ids)", "key = tuple(ids[:1])"),
     # forward pass
     Mutant("select-neighbors-unstable", "src/cag/graph.py",
            'kind="stable"', 'kind="quicksort"'),

@@ -103,12 +103,26 @@ def encode_question(ids: Sequence[int], table: Tensor, params: LSTMParams) -> En
 
 
 def encode_history(round_ids: Sequence[Sequence[int]], table: Tensor,
-                   params: LSTMParams) -> Tensor:
+                   params: LSTMParams, cache: dict | None = None) -> Tensor:
     """(d, num_rounds) memory: one sentence vector per round, column 0 the
-    caption."""
+    caption.
+
+    ``cache`` memoizes sentence vectors by token-id tuple: a round found
+    there is a constant column and is not re-encoded, and every other round
+    is added to it. A hit equals recomputing bit for bit, as long as the
+    parameters do not change; it records nothing on the tape, so only a
+    tape-off pass may pass a cache."""
     if not round_ids:
         raise ValueError("history must contain at least the caption round")
-    cols = [encode_question(ids, table, params).sentence for ids in round_ids]
+    cols = []
+    for ids in round_ids:
+        key = tuple(ids)
+        if cache is not None and key in cache:
+            cols.append(T.constant(cache[key]))
+            continue
+        cols.append(encode_question(ids, table, params).sentence)
+        if cache is not None:
+            cache[key] = cols[-1].data
     return T.concat(cols, axis=1) if len(cols) > 1 else cols[0]
 
 
@@ -129,7 +143,7 @@ def history_attention(q_sent: Tensor, memory: Tensor, w_q: Tensor,
     """
     z = T.tanh(T.broadcast_cols(w_q @ q_sent, memory.data.shape[1]) + w_m @ memory)
     scores = p_score @ drop(z)
-    alpha = T.masked_softmax(scores, np.ones(scores.shape, dtype=bool), axis=1)
+    alpha = T.masked_softmax(scores, None, axis=1)
     return memory @ T.transpose(alpha), alpha
 
 
@@ -172,6 +186,6 @@ def question_command(question: EncodedQuestion, params: StepAttentionParams,
         params.gate_sig @ question.hiddens)
     z = T.l2_normalize(gated, axis=0)
     scores = params.score @ drop(z)
-    alpha = T.masked_softmax(scores, np.ones(scores.shape, dtype=bool), axis=1)
+    alpha = T.masked_softmax(scores, None, axis=1)
     vector = question.word_embs @ T.transpose(alpha)
     return QuestionCommand(alpha=alpha, vector=vector)

@@ -159,8 +159,14 @@ class Model:
 
     def forward(self, enc: EncodedInstance,
                 drop_rng: np.random.Generator | None = None,
-                candidate_cache: dict | None = None) -> ForwardResult:
-        """Dropout applies if and only if ``drop_rng`` is given."""
+                sentence_cache: dict | None = None) -> ForwardResult:
+        """Dropout applies if and only if ``drop_rng`` is given.
+
+        ``sentence_cache`` is the history LSTM's sentence memo
+        (:func:`cag.encoders.encode_history`): the caption, every round and
+        every candidate are looked up by token ids before they are encoded.
+        ``encode_history`` still runs once for the history, and once for
+        each candidate the memo does not hold. Tape-off only."""
         p, cfg = self.params, self.cfg
         keep = 1.0 - cfg.dropout
         drop = (lambda x: x) if drop_rng is None else (lambda x: T.dropout(x, keep, drop_rng))
@@ -177,7 +183,7 @@ class Model:
             context, alpha_h = T.constant(np.zeros((cfg.d, 1))), None
         else:
             history = encode_history([enc.caption_ids] + enc.round_ids,
-                                     p.embedding, p.history_lstm)
+                                     p.embedding, p.history_lstm, sentence_cache)
             context, alpha_h = history_attention(
                 question.sentence, history, p.hist_att_q, p.hist_att_mem,
                 p.hist_att_score, drop)
@@ -197,15 +203,10 @@ class Model:
                                              p.graph, "no_g_att" in cfg.ablations, drop)
         fused = fuse(graph_emb, context, question.sentence, p.graph, drop)
 
-        cols = []
-        for ids in enc.candidate_ids:
-            if candidate_cache is not None and ids in candidate_cache:
-                cols.append(T.constant(candidate_cache[ids]))
-                continue
-            hid = encode_history([list(ids)], p.embedding, p.history_lstm)
-            cols.append(hid)
-            if candidate_cache is not None:
-                candidate_cache[ids] = hid.data.copy()
+        cols = [T.constant(sentence_cache[ids])
+                if sentence_cache is not None and ids in sentence_cache
+                else encode_history([ids], p.embedding, p.history_lstm, sentence_cache)
+                for ids in enc.candidate_ids]
         candidates = T.concat(cols, axis=1) if len(cols) > 1 else cols[0]
         logits = score_candidates(fused, candidates)
 

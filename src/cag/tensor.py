@@ -13,8 +13,10 @@ recording off for every other thread too.
 The LSTM recurrence is one fused primitive (:func:`lstm_sequence`): a whole
 sequence records a single tape node. Its products with the input weights,
 the inputs and the hidden states are formed once per sequence, so only the
-recurrence runs per timestep. For a one-token sequence, values and gradients
-are bit-identical to the same LSTM composed from the per-op primitives; for
+recurrence runs per timestep, and each step's four gates take one ``tanh``
+call. The sigmoid is one formula everywhere, ``0.5 + 0.5 * tanh(0.5 * x)``
+(:func:`_sigmoid`). For a one-token sequence, values and gradients are
+bit-identical to the same LSTM composed from the per-op primitives; for
 longer ones the per-sequence products sum in another order, and agree with
 that composition to within 1e-12 of each array's largest entry.
 """
@@ -22,6 +24,7 @@ that composition to within 1e-12 of each array's largest entry.
 from __future__ import annotations
 
 import contextlib
+import functools
 import logging
 from typing import Iterable, Sequence
 
@@ -253,10 +256,14 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # numerically symmetric formulation, exact for large |x|
-    e = np.exp(-np.abs(x))
-    den = 1.0 + e
-    return np.where(x >= 0, 1.0 / den, e / den)
+    """0.5 + 0.5 * tanh(0.5 * x), in place on one buffer. tanh saturates
+    without overflow: +-inf give exactly 1 and 0, and NaN stays NaN. The
+    absolute error is at most 2.2e-16; below x = -38 the result is 0."""
+    y = np.multiply(x, 0.5, out=np.empty(np.shape(x)))
+    np.tanh(y, out=y)
+    y *= 0.5
+    y += 0.5
+    return y
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -289,24 +296,27 @@ def dropout(a: Tensor, keep_prob: float, rng: np.random.Generator | None = None)
 # ---------------------------------------------------------------------------
 
 
-def masked_softmax(a: Tensor, mask: np.ndarray, axis: int) -> Tensor:
+def masked_softmax(a: Tensor, mask: np.ndarray | None, axis: int) -> Tensor:
     """Stable (max-subtracted) softmax along ``axis`` restricted to ``mask``
-    positions; masked-out entries are exactly 0, and an all-True mask gives
-    the plain softmax.
+    positions; masked-out entries are exactly 0. ``mask=None`` keeps every
+    position: the plain softmax, bit for bit the all-True mask's result.
 
     The mask is a routing decision, not a variable: no gradient flows to
     masked-out entries.
     """
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != a.data.shape:
-        raise ShapeError(f"masked_softmax: mask {mask.shape} vs data {a.data.shape}")
     if a.data.shape[axis] == 0:
         raise ShapeError(f"masked_softmax: empty axis {axis} in shape {a.data.shape}")
-    if not mask.any(axis=axis).all():
-        raise ValueError("masked_softmax: some slice has no unmasked entry")
-    neg = np.where(mask, a.data, -np.inf)
-    z = neg - neg.max(axis=axis, keepdims=True)
-    e = np.where(mask, np.exp(z), 0.0)
+    if mask is None:
+        e = np.exp(a.data - a.data.max(axis=axis, keepdims=True))
+    else:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != a.data.shape:
+            raise ShapeError(f"masked_softmax: mask {mask.shape} vs data {a.data.shape}")
+        if not mask.any(axis=axis).all():
+            raise ValueError("masked_softmax: some slice has no unmasked entry")
+        neg = np.where(mask, a.data, -np.inf)
+        z = neg - neg.max(axis=axis, keepdims=True)
+        e = np.where(mask, np.exp(z), 0.0)
     y = e / e.sum(axis=axis, keepdims=True)
 
     def bw(g):
@@ -381,6 +391,21 @@ def embedding_cols(table: Tensor, ids: Sequence[int]) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=8)
+def _gate_affine(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (scale, offset) rows that give all four gates from one tanh
+    call: ``tanh(pre * scale) * scale + offset``. On the i/f/o rows (scale
+    0.5, offset 0.5) these are :func:`_sigmoid`'s operations, in its order;
+    on the cell rows (scale 1, offset -0.0) it is ``tanh`` itself, since
+    multiplying by 1 and adding -0.0 change no bit, -0.0 included."""
+    scale = np.full(4 * d, 0.5)
+    scale[2 * d : 3 * d] = 1.0
+    offset = np.full(4 * d, 0.5)
+    offset[2 * d : 3 * d] = -0.0
+    scale.flags.writeable = offset.flags.writeable = False
+    return scale, offset
+
+
 def lstm_sequence(seq: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
     """Hidden states (d, m) of a single-layer LSTM run over the columns of ``seq``.
 
@@ -393,8 +418,12 @@ def lstm_sequence(seq: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
     product per sequence; only the recurrence (``w_h @ h`` forward, ``w_h.T
     @ dpre`` backward) runs per step:
 
-    - forward computes ``w_x @ seq + b`` once, and step t adds ``w_h @ h``
-      to its column from t = 1 on (the initial state is zero);
+    - forward computes ``w_x @ seq + b`` once and keeps it time-major, as
+      an (m, 4d) array whose row t is step t's pre-activation. Step t adds
+      ``w_h @ h`` to its row from t = 1 on (the initial state is zero), then
+      turns the row into the four gates in place with one ``tanh`` call:
+      ``tanh(pre * scale) * scale + offset`` (:func:`_gate_affine`), which
+      is :func:`_sigmoid` on the i/f/o rows and ``tanh`` on the cell rows;
     - backward writes each step's pre-activation gradient into column t of
       one (4d, m) array ``dpre``, then adds ``dpre @ seq.T`` to ``w_x``,
       ``dpre[:, 1:] @ out[:, :m-1].T`` to ``w_h`` (the output holds the
@@ -402,8 +431,9 @@ def lstm_sequence(seq: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
       ``w_x.T @ dpre`` to ``seq``, one add each.
 
     At m = 1 this evaluates the expressions of the same LSTM composed from
-    ``matmul``, ``add``, ``take_rows``, ``sigmoid``, ``tanh`` and ``mul``,
-    so values and gradients equal that composition bit for bit; a ``w_h``
+    ``matmul``, ``add``, ``take_rows``, ``sigmoid``, ``tanh`` and ``mul``
+    (the gate rows round exactly as ``sigmoid`` and ``tanh`` do), so values
+    and gradients equal that composition bit for bit; a ``w_h``
     whose ``.grad`` was None gets zeros, the gradient of its product with
     the zero state. From m = 2 on, the per-sequence products sum in another
     order than the per-step composition, and the results agree with it to
@@ -421,20 +451,26 @@ def lstm_sequence(seq: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
     parents = (seq, w_x, w_h, b)
     record = _grad_enabled and any(p.requires_grad for p in parents)
 
-    xwb = wx @ xs + bd
+    # time-major: row t holds step t's pre-activation, then its four gates
+    gates = (wx @ xs + bd).T.copy()
+    scale, offset = _gate_affine(d)
     out = np.empty((d, m))
-    h = c = np.zeros((d, 1))
+    h = c = np.zeros(d)
     cache = []
     for t in range(m):
-        pre = xwb[:, t : t + 1] if t == 0 else xwb[:, t : t + 1] + wh @ h
-        s = _sigmoid(pre)
-        i, f, o = s[:d], s[d : 2 * d], s[3 * d :]
-        g = np.tanh(pre[2 * d : 3 * d])
+        z = gates[t]
+        if t:
+            z += wh @ h
+        z *= scale
+        np.tanh(z, out=z)
+        z *= scale
+        z += offset
+        i, f, g, o = z[:d], z[d : 2 * d], z[2 * d : 3 * d], z[3 * d :]
         c_prev = c
         c = f * c + i * g
         tc = np.tanh(c)
         h = o * tc
-        out[:, t : t + 1] = h
+        out[:, t] = h
         if record:
             cache.append((c_prev, i, f, g, o, tc))
 
@@ -444,13 +480,13 @@ def lstm_sequence(seq: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
         for t in range(m - 1, -1, -1):
             c_prev, i, f, g, o, tc = cache[t]
             # the output column, then the recurrent term
-            dh = gout[:, t : t + 1]
+            dh = gout[:, t]
             if dh_rec is not None:
                 dh = dh + dh_rec
             dc = (dh * o) * (1.0 - tc * tc)
             if dc_rec is not None:
                 dc = dc + dc_rec
-            dpre = dpre_all[:, t : t + 1]
+            dpre = dpre_all[:, t]
             dpre[:d] = dc * g * i * (1.0 - i)
             dpre[d : 2 * d] = dc * c_prev * f * (1.0 - f)
             dpre[2 * d : 3 * d] = dc * i * (1.0 - g * g)

@@ -34,13 +34,15 @@ class TrainResult:
 
 def evaluate(model: Model, instances: Sequence[EncodedInstance],
              collect_logits: bool = False) -> tuple[RankReport, list[np.ndarray]]:
-    """Deterministic eval: dropout off, tape off, candidate encodings
-    memoized within the pass (parameters are frozen for its duration)."""
+    """Deterministic eval: dropout off, tape off. One sentence memo serves
+    the whole call: the history LSTM encodes each distinct caption, round
+    and candidate once (parameters are frozen for its duration), and a hit
+    gives the same bits as encoding again."""
     ranks, rows = [], []
     cache: dict = {}
     with T.no_grad():
         for enc in instances:
-            logits = model.forward(enc, candidate_cache=cache).logits.data.reshape(-1)
+            logits = model.forward(enc, sentence_cache=cache).logits.data.reshape(-1)
             ranks.append(rank_of(logits, enc.gt))
             if collect_logits:
                 rows.append(logits.copy())

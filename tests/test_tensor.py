@@ -31,8 +31,8 @@ from cag.tensor import (
 
 
 def softmax(a, axis):
-    """The plain softmax: masked_softmax with every position kept."""
-    return masked_softmax(a, np.ones(a.shape, dtype=bool), axis=axis)
+    """The plain softmax: masked_softmax without a mask."""
+    return masked_softmax(a, None, axis=axis)
 
 
 def brute_force_topk(row, k):
@@ -123,6 +123,20 @@ class TestSoftmax:
     def test_masked_softmax_rejects_all_masked_slice(self):
         with pytest.raises(ValueError):
             masked_softmax(constant([[1.0, 2.0]]), np.array([[False, False]]), axis=1)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_no_mask_equals_all_true_mask_bytewise(self, axis):
+        rng = np.random.default_rng(axis)
+        x = rng.normal(scale=5.0, size=(7, 9))
+        g = rng.normal(size=x.shape)
+        results = []
+        for mask in (None, np.ones(x.shape, dtype=bool)):
+            a = Tensor(x.copy(), requires_grad=True)
+            y = masked_softmax(a, mask, axis=axis)
+            backward(mul(y, constant(g)).sum())
+            results.append((y.data, a.grad))
+        (y0, g0), (y1, g1) = results
+        assert y0.tobytes() == y1.tobytes() and g0.tobytes() == g1.tobytes()
 
 
 class TestTopK:
@@ -295,5 +309,20 @@ class TestTransposeSumScale:
         np.testing.assert_array_equal(tensor_sum(x, axis=1, keepdims=True).data, [[3.0], [12.0]])
 
     def test_sigmoid_matches_closed_form(self):
-        x = np.linspace(-20, 20, 41)
+        # 0.5 + 0.5 tanh(x / 2) is within 2.2e-16 of 1 / (1 + exp(-x)) everywhere,
+        # so its relative error grows as the value shrinks (1.9e-8 at x = -20)
+        x = np.linspace(-10, 20, 31)
         np.testing.assert_allclose(sigmoid(constant(x)).data, 1 / (1 + np.exp(-x)), rtol=1e-12)
+        x = np.linspace(-40, 40, 81)
+        np.testing.assert_allclose(sigmoid(constant(x)).data, 1 / (1 + np.exp(-x)),
+                                   rtol=0, atol=2.3e-16)
+
+    def test_sigmoid_infinities_and_nan(self):
+        y = sigmoid(constant([np.inf, -np.inf, np.nan])).data
+        assert y[0] == 1.0 and y[1] == 0.0 and np.isnan(y[2])
+
+    def test_sigmoid_large_inputs_do_not_overflow(self):
+        x = np.linspace(-1e3, 1e3, 2001)
+        with np.errstate(all="raise"):
+            y = sigmoid(constant(x)).data
+        assert y[0] == 0.0 and y[-1] == 1.0 and np.all(np.diff(y) >= 0)

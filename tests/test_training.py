@@ -101,12 +101,23 @@ class TestEvaluate:
         assert a.r_at_1 <= a.r_at_5 <= a.r_at_10
         assert 1.0 <= a.mean_rank <= 6.0  # C=6 in the tiny corpus
 
-    def test_candidate_cache_does_not_change_results(self, tiny_setup):
+    def test_sentence_cache_does_not_change_results(self, tiny_setup, monkeypatch):
+        from cag import encoders
         from cag import tensor as T
-        from cag.decoder import rank_of
         cfg, _, model, encoded = tiny_setup
+        # the repeated dialog repeats its caption, rounds and candidates
+        instances = encoded["val"] + encoded["val"][:1]
         with T.no_grad():
-            plain = [model.forward(e).logits.data.copy() for e in encoded["val"]]
-        report, cached = evaluate(model, encoded["val"], collect_logits=True)
-        for x, y in zip(plain, cached):
-            np.testing.assert_array_equal(x.reshape(-1), y)
+            plain = [model.forward(e).logits.data.reshape(-1) for e in instances]
+
+        lstm_encode, calls = encoders.lstm_encode, []
+        monkeypatch.setattr(encoders, "lstm_encode",
+                            lambda seq, params: calls.append(None) or lstm_encode(seq, params))
+        _, cached = evaluate(model, instances, collect_logits=True)
+        # one question run per dialog, and one history run per distinct sentence
+        sentences = {tuple(ids) for e in instances
+                     for ids in [e.caption_ids] + e.round_ids + e.candidate_ids}
+        assert len(calls) == len(instances) + len(sentences)
+        assert len(sentences) < sum(1 + len(e.round_ids) + len(e.candidate_ids)
+                                    for e in instances)
+        assert [x.tobytes() for x in plain] == [y.tobytes() for y in cached]
