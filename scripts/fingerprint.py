@@ -19,12 +19,19 @@ container format that keeps the weights shows identical ``#params`` lines.
 Paths are relative to the temporary directory, so two checkouts with
 identical numerics print identical output.
 
-The output opens with ``#`` lines naming the numpy version and BLAS
-library, because floating-point results are only comparable between runs
-on the same ones.
+The output opens with ``#`` lines naming the numpy version, the BLAS
+library and the CPU code paths both chose (OpenBLAS's kernel core and
+numpy's highest enabled dispatch target), because floating-point results
+are only comparable between runs on the same ones. Environment variables
+pick other code paths on the same machine; for example, this emulates an
+AVX2 machine on an AVX-512 one:
+
+    OPENBLAS_CORETYPE=Haswell NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" \
+        python3 scripts/fingerprint.py
 """
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -141,14 +148,40 @@ def fingerprint() -> list[str]:
     return lines
 
 
+def openblas_core() -> str:
+    """The kernel core that numpy's bundled OpenBLAS runs, or "unknown"."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*.so*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def numpy_dispatch() -> str:
+    """The highest of numpy's dispatch targets that this CPU enables, or
+    "baseline" if none is."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    enabled = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return enabled[-1] if enabled else "baseline"
+
+
 def environment() -> list[str]:
-    """The ``#`` header: numpy version and BLAS library name and version."""
+    """The ``#`` header: numpy version, BLAS library name and version, and
+    the CPU code paths of both."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas_name = f"{blas['name']} {blas.get('version', '')}".strip()
     except (TypeError, KeyError):  # numpy < 1.25 has no dict form
         blas_name = "unknown"
-    return [f"# numpy {np.__version__}", f"# blas {blas_name}"]
+    return [f"# numpy {np.__version__}", f"# blas {blas_name}",
+            f"# cpu openblas {openblas_core()} / numpy {numpy_dispatch()}"]
 
 
 def run() -> int:

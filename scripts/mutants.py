@@ -84,6 +84,8 @@ MUTANTS = [
            "if not n_objects <= MAX_OBJECTS:"),
     Mutant("manifest-candidates", "src/cag/synthdial.py",
            "if not 2 <= self.candidates <= MAX_CANDIDATES:", "if not 2 <= self.candidates:"),
+    Mutant("oracle-ref-range", "src/cag/synthdial.py",
+           "if not 0 <= question.ref_id < len(objs):", "if False:"),
     # config boundary
     Mutant("config-dropout-one", "src/cag/config.py",
            "if not (0.0 <= self.dropout < 1.0):", "if not (0.0 <= self.dropout <= 1.0):"),
@@ -106,8 +108,10 @@ MUTANTS = [
     Mutant("select-neighbors-unstable", "src/cag/graph.py",
            'kind="stable"', 'kind="quicksort"'),
     Mutant("update-nodes-visual-half", "src/cag/graph.py",
-           "nodes=T.concat([visual, new_ctx], axis=0)",
-           "nodes=T.concat([T.tanh(visual), new_ctx], axis=0)"),
+           "T.concat([visual, new_ctx], axis=0)",
+           "T.concat([T.tanh(visual), new_ctx], axis=0)"),
+    Mutant("step-numbering", "src/cag/graph.py",
+           "enumerate(commands, start=1)", "enumerate(commands)"),
 ]
 
 

@@ -3,17 +3,18 @@ adjacency learning, adaptive top-K message passing, node updates, graph
 attention, and the final multimodal fusion.
 
 Nodes are (2d, n) columns [v_i; c_i]: a fixed visual half and a learned
-context half. Each inference step recomputes the directed adjacency under
-that step's question command, routes messages from each node's top-K
-in-neighbors only, and rewrites the context half. Gradients flow through
-the selected adjacency entries and messages, never through the discrete
-neighbor choice itself.
+context half. :func:`iterate` runs one inference step per question command
+it is given. Each step recomputes the directed adjacency under its
+command, routes messages from each node's top-K in-neighbors only
+(:func:`select_neighbors`, the one top-K), and rewrites the context half.
+Gradients flow through the selected adjacency entries and messages, never
+through the discrete neighbor choice itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable
+from typing import Sequence
 
 import numpy as np
 
@@ -67,14 +68,6 @@ class GraphParams:
 
 
 @dataclass
-class GraphState:
-    """Node matrix at step t (the step's edge data lives in :class:`StepRecord`)."""
-
-    step: int
-    nodes: Tensor  # (2d, n)
-
-
-@dataclass
 class StepRecord:
     """One inference step's arrays, for trace export.
 
@@ -104,10 +97,10 @@ class AttentionTrace:
 # ---------------------------------------------------------------------------
 
 
-def init_graph(visual: Tensor, context: Tensor) -> GraphState:
-    """Step-1 graph: every node column is [v_i; u]."""
+def init_graph(visual: Tensor, context: Tensor) -> Tensor:
+    """The constructed (2d, n) nodes: every column is [v_i; u]."""
     n = visual.data.shape[1]
-    return GraphState(step=1, nodes=T.concat([visual, T.broadcast_cols(context, n)], axis=0))
+    return T.concat([visual, T.broadcast_cols(context, n)], axis=0)
 
 
 def adjacency(nodes: Tensor, command: Tensor, params: GraphParams,
@@ -130,12 +123,13 @@ def adjacency(nodes: Tensor, command: Tensor, params: GraphParams,
 
 
 def select_neighbors(adj: np.ndarray, k: int) -> np.ndarray:
-    """Row-independent top-K selection: neighbors[i] are the indices of the
-    K strongest incoming edges of node i. Rows are independent, so the
-    structure is an asymmetric directed graph.
+    """Row-independent top-K selection: neighbors[i] holds, in ascending
+    order, the indices of the min(k, n) strongest incoming edges of node i.
+    Rows are independent, so the structure is an asymmetric directed graph.
 
-    Row i equals ``T.topk_indices(adj[i], min(k, n))``: a stable sort of the
-    negated row puts larger values first and ties in index order.
+    Edges rank by value descending, and equal values by lowest index first:
+    a stable sort of the negated row keeps ties in index order. A k above
+    n selects every edge.
     """
     n = adj.shape[0]
     return np.sort(np.argsort(-adj, axis=1, kind="stable")[:, :min(k, n)], axis=1)
@@ -163,38 +157,34 @@ def message_passing(nodes: Tensor, adj: Tensor, neighbors: np.ndarray,
     return routing, weights, messages
 
 
-def update_nodes(state: GraphState, messages: Tensor, params: GraphParams) -> GraphState:
+def update_nodes(nodes: Tensor, messages: Tensor, params: GraphParams) -> Tensor:
     """Rewrite each node's context half from [old context; message]; the
     visual half passes through bitwise untouched."""
-    two_d = state.nodes.data.shape[0]
+    two_d = nodes.data.shape[0]
     d = two_d // 2
-    visual = T.take_rows(state.nodes, 0, d)
-    ctx = T.take_rows(state.nodes, d, two_d)
+    visual = T.take_rows(nodes, 0, d)
+    ctx = T.take_rows(nodes, d, two_d)
     new_ctx = params.ctx_update @ T.concat([ctx, messages], axis=0)
-    return GraphState(step=state.step + 1, nodes=T.concat([visual, new_ctx], axis=0))
+    return T.concat([visual, new_ctx], axis=0)
 
 
-CommandFn = Callable[[int], QuestionCommand]
-
-
-def iterate(visual: Tensor, context: Tensor, command_fn: CommandFn,
+def iterate(visual: Tensor, context: Tensor, commands: Sequence[QuestionCommand],
             params: GraphParams, cfg: RunConfig,
-            ) -> tuple[GraphState, list[StepRecord]]:
-    """Run the inference loop: command -> adjacency -> top-K -> messages ->
-    update, for ``cfg.effective_steps`` steps, recording each step.
+            ) -> tuple[Tensor, list[StepRecord]]:
+    """Run one inference step per command: adjacency -> top-K -> messages
+    -> update. Step t (from 1) takes ``commands[t - 1]``; ``cfg`` supplies
+    only the variant and K. Returns the final (2d, n) nodes and one record
+    per step.
 
-    Zero steps returns the constructed graph untouched.
+    No commands returns the constructed graph untouched.
     """
-    state = init_graph(visual, context)
+    nodes = init_graph(visual, context)
     records: list[StepRecord] = []
-    for _ in range(cfg.effective_steps):
-        t = state.step
-        cmd = command_fn(t)
-        adj = adjacency(state.nodes, cmd.vector, params, cfg.variant)
+    for t, cmd in enumerate(commands, start=1):
+        adj = adjacency(nodes, cmd.vector, params, cfg.variant)
         neighbors = select_neighbors(adj.data, cfg.k_neighbors)
-        routing, weights, messages = message_passing(
-            state.nodes, adj, neighbors, cmd.vector, params)
-        state = update_nodes(state, messages, params)
+        _, weights, messages = message_passing(nodes, adj, neighbors, cmd.vector, params)
+        nodes = update_nodes(nodes, messages, params)
         records.append(StepRecord(
             step=t,
             alpha_q=cmd.alpha.data.reshape(-1),
@@ -202,9 +192,9 @@ def iterate(visual: Tensor, context: Tensor, command_fn: CommandFn,
             neighbors=neighbors,
             weights=weights,
             messages=messages.data,
-            nodes_after=state.nodes.data,
+            nodes_after=nodes.data,
         ))
-    return state, records
+    return nodes, records
 
 
 # ---------------------------------------------------------------------------

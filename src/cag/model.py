@@ -188,18 +188,19 @@ class Model:
                 question.sentence, history, p.hist_att_q, p.hist_att_mem,
                 p.hist_att_score, drop)
 
+        # one command per inference step, all built before the loop: no graph
+        # op draws from drop_rng, so the dropout draws keep their order
         if "no_q_att" in cfg.ablations:
-            shared = p.cmd_from_sentence @ question.sentence
-            uniform = np.full((1, len(enc.question_ids)), 1.0 / len(enc.question_ids))
-
-            def command_fn(t: int) -> QuestionCommand:
-                return QuestionCommand(T.constant(uniform), shared)
+            m = len(enc.question_ids)
+            shared = QuestionCommand(T.constant(np.full((1, m), 1.0 / m)),
+                                     p.cmd_from_sentence @ question.sentence)
+            commands = [shared] * cfg.effective_steps
         else:
-            def command_fn(t: int) -> QuestionCommand:
-                return question_command(question, p.step_attention[t - 1], drop)
+            commands = [question_command(question, sp, drop)
+                        for sp in p.step_attention[:cfg.effective_steps]]
 
-        state, records = iterate(visual, context, command_fn, p.graph, cfg)
-        graph_emb, alpha_g = graph_attention(state.nodes, question.sentence,
+        nodes, records = iterate(visual, context, commands, p.graph, cfg)
+        graph_emb, alpha_g = graph_attention(nodes, question.sentence,
                                              p.graph, "no_g_att" in cfg.ablations, drop)
         fused = fuse(graph_emb, context, question.sentence, p.graph, drop)
 

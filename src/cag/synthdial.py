@@ -147,8 +147,9 @@ def _matches(obj: SceneObject, category: str | None, color: str | None) -> bool:
 def oracle_answer(scene: Scene, question: ResolvedQuestion) -> str:
     """Exact symbolic evaluation over scene attributes and relations.
 
-    Referents must already be bound (the generator records them); an
-    unbound referent is a generator bug, not data.
+    Referents must already be bound (the generator records them): a
+    color_of, size_of or spatial question has exactly one subject, and every
+    object id is in range. Anything else raises :class:`UnresolvedReferent`.
     """
     objs = scene.objects
     kind = question.kind
@@ -163,28 +164,24 @@ def oracle_answer(scene: Scene, question: ResolvedQuestion) -> str:
         n = sum(_matches(o, question.category, question.color) for o in objs)
         return str(min(n, COUNT_CAP))
     if kind in ("color_of", "size_of", "spatial"):
-        if not question.subject_ids:
-            raise UnresolvedReferent(f"{kind} question with no bound subject")
-        if any(not 0 <= i < len(objs) for i in question.subject_ids):
-            raise UnresolvedReferent(f"subject ids {question.subject_ids} out of range")
-        subjects = [objs[i] for i in question.subject_ids]
+        ids = question.subject_ids
+        if len(ids) != 1 or not 0 <= ids[0] < len(objs):
+            raise UnresolvedReferent(f"{kind} question needs one subject id in range, "
+                                     f"got {ids}")
+        subject = objs[ids[0]]
         if kind == "color_of":
-            colors = {o.color for o in subjects}
-            if len(colors) != 1:
-                raise UnresolvedReferent("color_of group has inconsistent colors")
-            return colors.pop()
+            return subject.color
         if kind == "size_of":
-            if len(subjects) != 1:
-                raise UnresolvedReferent("size_of expects a single subject")
-            return subjects[0].size
+            return subject.size
         if question.ref_id is None or question.relation is None:
             raise UnresolvedReferent("spatial question missing reference or relation")
+        if not 0 <= question.ref_id < len(objs):
+            raise UnresolvedReferent(f"reference id {question.ref_id} out of range")
         ref = objs[question.ref_id]
         if question.relation not in RELATIONS:
             raise ValueError(f"unknown relation {question.relation!r}")
         axis, sign, _ = RELATIONS[question.relation]
-        return "yes" if all(sign * (o.cell[axis] - ref.cell[axis]) > 0
-                            for o in subjects) else "no"
+        return "yes" if sign * (subject.cell[axis] - ref.cell[axis]) > 0 else "no"
     raise ValueError(f"unknown question kind {kind!r}")
 
 

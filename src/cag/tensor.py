@@ -25,12 +25,9 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import logging
 from typing import Iterable, Sequence
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 EPS_L2NORM = 1e-12
 
@@ -505,29 +502,6 @@ def lstm_sequence(seq: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
         _accum(seq, wx.T @ dpre_all)
 
     return _out(out, parents, bw)
-
-
-# ---------------------------------------------------------------------------
-# discrete selection (no gradient: a routing decision)
-# ---------------------------------------------------------------------------
-
-
-def topk_indices(row, k: int) -> np.ndarray:
-    """Indices of the k largest values of a 1-d row, ascending by index.
-
-    Ties break toward the lowest index. k larger than the row is clamped
-    (tiny graphs reuse full-scale defaults).
-    """
-    values = row.data if isinstance(row, Tensor) else np.asarray(row)
-    values = values.reshape(-1)
-    n = values.shape[0]
-    if k < 1:
-        raise ValueError(f"topk_indices: k must be >= 1, got {k}")
-    if k > n:
-        log.warning("topk_indices: k=%d exceeds row length %d; clamping", k, n)
-        k = n
-    order = np.lexsort((np.arange(n), -values))  # value desc, index asc on ties
-    return np.sort(order[:k])
 
 
 # ---------------------------------------------------------------------------

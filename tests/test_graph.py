@@ -10,7 +10,6 @@ from cag.encoders import QuestionCommand
 from cag.gradcheck import finite_diff_check
 from cag.graph import (
     GraphParams,
-    GraphState,
     adjacency,
     fuse,
     graph_attention,
@@ -20,7 +19,7 @@ from cag.graph import (
     select_neighbors,
     update_nodes,
 )
-from cag.tensor import Tensor, constant, topk_indices
+from cag.tensor import Tensor, constant
 
 D, DW = 4, 3
 
@@ -41,24 +40,26 @@ def params(rng):
 
 
 def make_commands(rng, steps, d_w=DW, m=3):
-    cmds = {}
-    for t in range(1, steps + 1):
-        alpha = np.full((1, m), 1.0 / m)
-        cmds[t] = QuestionCommand(constant(alpha), constant(rng.normal(size=(d_w, 1))))
-    return lambda t: cmds[t]
+    alpha = np.full((1, m), 1.0 / m)
+    return [QuestionCommand(constant(alpha), constant(rng.normal(size=(d_w, 1))))
+            for _ in range(steps)]
+
+
+def topk_oracle(row, k):
+    """Full sort by (value descending, index ascending), first k, by index."""
+    return sorted(sorted(range(len(row)), key=lambda i: (-row[i], i))[:k])
 
 
 class TestInitGraph:
     def test_single_node_is_stacked_pair(self, rng):
         v = rng.normal(size=(D, 1))
         u = rng.normal(size=(D, 1))
-        state = init_graph(constant(v), constant(u))
-        np.testing.assert_array_equal(state.nodes.data, np.vstack([v, u]))
+        nodes = init_graph(constant(v), constant(u))
+        np.testing.assert_array_equal(nodes.data, np.vstack([v, u]))
 
     def test_shape_contract(self, rng):
-        state = init_graph(constant(rng.normal(size=(D, 6))), constant(rng.normal(size=(D, 1))))
-        assert state.nodes.data.shape == (2 * D, 6)
-        assert state.step == 1
+        nodes = init_graph(constant(rng.normal(size=(D, 6))), constant(rng.normal(size=(D, 1))))
+        assert nodes.data.shape == (2 * D, 6)
 
     def test_empty_graph_rejected(self, rng):
         with pytest.raises(T.ShapeError):
@@ -67,45 +68,45 @@ class TestInitGraph:
 
 class TestAdjacency:
     def test_degenerate_single_node(self, rng, params):
-        state = init_graph(constant(rng.normal(size=(D, 1))), constant(rng.normal(size=(D, 1))))
-        adj = adjacency(state.nodes, constant(rng.normal(size=(DW, 1))), params)
+        nodes = init_graph(constant(rng.normal(size=(D, 1))), constant(rng.normal(size=(D, 1))))
+        adj = adjacency(nodes, constant(rng.normal(size=(DW, 1))), params)
         assert adj.data.shape == (1, 1)
 
     def test_generally_asymmetric(self, rng, params):
-        state = init_graph(constant(rng.normal(size=(D, 5))), constant(rng.normal(size=(D, 1))))
-        adj = adjacency(state.nodes, constant(rng.normal(size=(DW, 1))), params)
+        nodes = init_graph(constant(rng.normal(size=(D, 5))), constant(rng.normal(size=(D, 1))))
+        adj = adjacency(nodes, constant(rng.normal(size=(DW, 1))), params)
         assert np.abs(adj.data - adj.data.T).max() > 0
 
     def test_zero_command_annihilates(self, rng, params):
-        state = init_graph(constant(rng.normal(size=(D, 4))), constant(rng.normal(size=(D, 1))))
-        adj = adjacency(state.nodes, constant(np.zeros((DW, 1))), params)
+        nodes = init_graph(constant(rng.normal(size=(D, 4))), constant(rng.normal(size=(D, 1))))
+        adj = adjacency(nodes, constant(np.zeros((DW, 1))), params)
         np.testing.assert_array_equal(adj.data, np.zeros((4, 4)))
 
     def test_matches_direct_evaluation(self, rng, params):
-        state = init_graph(constant(rng.normal(size=(D, 4))), constant(rng.normal(size=(D, 1))))
+        nodes = init_graph(constant(rng.normal(size=(D, 4))), constant(rng.normal(size=(D, 1))))
         cmd = rng.normal(size=(DW, 1))
-        adj = adjacency(state.nodes, constant(cmd), params)
-        N = state.nodes.data
+        adj = adjacency(nodes, constant(cmd), params)
+        N = nodes.data
         gate = params.edge_cmd_gate.data @ cmd
         expected = (params.edge_dst_proj.data @ N).T @ ((params.edge_src_proj.data @ N) * gate)
         np.testing.assert_allclose(adj.data, expected, rtol=1e-12)
 
     def test_dualq_with_unit_gate_reduces_to_one_sided_form(self, rng, params):
-        state = init_graph(constant(rng.normal(size=(D, 4))), constant(rng.normal(size=(D, 1))))
+        nodes = init_graph(constant(rng.normal(size=(D, 4))), constant(rng.normal(size=(D, 1))))
         cmd = rng.normal(size=(DW, 1))
         # receiving-side gate forced to the all-ones vector
         params.edge_dst_cmd_gate.data = np.ones((D, 1)) @ cmd.T / (cmd.ravel() @ cmd.ravel())
-        dual = adjacency(state.nodes, constant(cmd), params, variant="dualq")
-        N = state.nodes.data
+        dual = adjacency(nodes, constant(cmd), params, variant="dualq")
+        N = nodes.data
         gate = params.edge_cmd_gate.data @ cmd
         closed_form = (params.edge_dst_proj.data @ N).T @ ((params.edge_src_proj.data @ N) * gate)
         np.testing.assert_allclose(dual.data, closed_form, rtol=1e-10)
 
     def test_dualq_gates_both_sides(self, rng, params):
-        state = init_graph(constant(rng.normal(size=(D, 4))), constant(rng.normal(size=(D, 1))))
+        nodes = init_graph(constant(rng.normal(size=(D, 4))), constant(rng.normal(size=(D, 1))))
         cmd = rng.normal(size=(DW, 1))
-        dual = adjacency(state.nodes, constant(cmd), params, variant="dualq")
-        N = state.nodes.data
+        dual = adjacency(nodes, constant(cmd), params, variant="dualq")
+        N = nodes.data
         left = (params.edge_dst_proj.data @ N) * (params.edge_dst_cmd_gate.data @ cmd)
         right = (params.edge_src_proj.data @ N) * (params.edge_cmd_gate.data @ cmd)
         np.testing.assert_allclose(dual.data, left.T @ right, rtol=1e-12)
@@ -146,44 +147,58 @@ class TestSelectNeighbors:
     @example(adj=np.array([[0.0, -0.0, 0.0], [-0.0, 1.0, -0.0], [2.0, 2.0, 2.0]]), k=2)
     def test_matches_per_row_topk(self, adj, k):
         n = adj.shape[0]
-        expected = np.stack([topk_indices(adj[i], min(k, n)) for i in range(n)])
+        expected = np.array([topk_oracle(list(adj[i]), k) for i in range(n)])
         got = select_neighbors(adj, k)
-        assert got.dtype == expected.dtype
+        assert got.dtype == np.intp
         np.testing.assert_array_equal(got, expected)
+
+    def test_tie_breaks_to_lowest_index(self):
+        nb = select_neighbors(np.array([[5.0, 5.0, 1.0]] * 3), 1)
+        np.testing.assert_array_equal(nb, [[0]] * 3)
+
+    def test_agrees_with_brute_force_on_1000_rows_with_duplicates(self):
+        rng = np.random.default_rng(7)
+        for _ in range(1000):
+            n = int(rng.integers(1, 16))
+            # low-cardinality values force duplicates
+            row = rng.integers(0, 4, size=n).astype(float)
+            k = int(rng.integers(1, n + 1))
+            np.testing.assert_array_equal(select_neighbors(np.tile(row, (n, 1)), k),
+                                          [topk_oracle(list(row), k)] * n)
 
 
 class TestMessagePassing:
-    def _state(self, rng, n):
+    def _nodes(self, rng, n):
         return init_graph(constant(rng.normal(size=(D, n))), constant(rng.normal(size=(D, 1))))
 
     def test_single_neighbor_weight_is_one(self, rng, params):
-        state = self._state(rng, 3)
+        nodes = self._nodes(rng, 3)
         cmd = constant(rng.normal(size=(DW, 1)))
-        adj = adjacency(state.nodes, cmd, params)
+        adj = adjacency(nodes, cmd, params)
         nb = select_neighbors(adj.data, 1)
-        routing, weights, messages = message_passing(state.nodes, adj, nb, cmd, params)
+        routing, weights, messages = message_passing(nodes, adj, nb, cmd, params)
         np.testing.assert_allclose(weights, np.ones((3, 1)))
-        per_node = (params.msg_node_proj.data @ state.nodes.data) * (
+        per_node = (params.msg_node_proj.data @ nodes.data) * (
             params.msg_cmd_gate.data @ cmd.data)
         for i in range(3):
             np.testing.assert_allclose(messages.data[:, i], per_node[:, nb[i, 0]], rtol=1e-12)
 
     def test_weights_rows_sum_to_one(self, rng, params):
-        state = self._state(rng, 5)
+        nodes = self._nodes(rng, 5)
         cmd = constant(rng.normal(size=(DW, 1)))
-        adj = adjacency(state.nodes, cmd, params)
+        adj = adjacency(nodes, cmd, params)
         nb = select_neighbors(adj.data, 3)
-        _, weights, _ = message_passing(state.nodes, adj, nb, cmd, params)
+        _, weights, _ = message_passing(nodes, adj, nb, cmd, params)
         np.testing.assert_allclose(weights.sum(axis=1), np.ones(5), atol=1e-12)
 
     def test_matches_direct_evaluation_n3_k2(self, rng, params):
-        state = self._state(rng, 3)
+        nodes = self._nodes(rng, 3)
         cmd = constant(rng.normal(size=(DW, 1)))
-        adj = adjacency(state.nodes, cmd, params)
+        adj = adjacency(nodes, cmd, params)
         nb = select_neighbors(adj.data, 2)
-        _, weights, messages = message_passing(state.nodes, adj, nb, cmd, params)
+        _, weights, messages = message_passing(nodes, adj, nb, cmd, params)
 
-        per_node = (params.msg_node_proj.data @ state.nodes.data) * (
+        per_node = (params.msg_node_proj.data @ nodes.data) * (
             params.msg_cmd_gate.data @ cmd.data)
         for i in range(3):
             sel = adj.data[i, nb[i]]
@@ -196,24 +211,23 @@ class TestMessagePassing:
 
 class TestUpdateNodes:
     def test_identity_block_keeps_context(self, rng, params):
-        state = init_graph(constant(rng.normal(size=(D, 3))), constant(rng.normal(size=(D, 1))))
+        nodes = init_graph(constant(rng.normal(size=(D, 3))), constant(rng.normal(size=(D, 1))))
         params.ctx_update.data = np.hstack([np.eye(D), np.zeros((D, D))])
-        nxt = update_nodes(state, constant(np.zeros((D, 3))), params)
-        np.testing.assert_array_equal(nxt.nodes.data, state.nodes.data)
-        assert nxt.step == 2
+        nxt = update_nodes(nodes, constant(np.zeros((D, 3))), params)
+        np.testing.assert_array_equal(nxt.data, nodes.data)
 
     def test_visual_half_bitwise_unchanged(self, rng, params):
         v = rng.normal(size=(D, 4))
-        state = init_graph(constant(v), constant(rng.normal(size=(D, 1))))
-        nxt = update_nodes(state, constant(rng.normal(size=(D, 4))), params)
-        assert np.array_equal(nxt.nodes.data[:D], v)
+        nodes = init_graph(constant(v), constant(rng.normal(size=(D, 1))))
+        nxt = update_nodes(nodes, constant(rng.normal(size=(D, 4))), params)
+        assert np.array_equal(nxt.data[:D], v)
 
     def test_matches_direct_evaluation(self, rng, params):
-        state = init_graph(constant(rng.normal(size=(D, 3))), constant(rng.normal(size=(D, 1))))
+        nodes = init_graph(constant(rng.normal(size=(D, 3))), constant(rng.normal(size=(D, 1))))
         msgs = rng.normal(size=(D, 3))
-        nxt = update_nodes(state, constant(msgs), params)
-        expected = params.ctx_update.data @ np.vstack([state.nodes.data[D:], msgs])
-        np.testing.assert_allclose(nxt.nodes.data[D:], expected, rtol=1e-12)
+        nxt = update_nodes(nodes, constant(msgs), params)
+        expected = params.ctx_update.data @ np.vstack([nodes.data[D:], msgs])
+        np.testing.assert_allclose(nxt.data[D:], expected, rtol=1e-12)
 
 
 class TestIterate:
@@ -221,38 +235,38 @@ class TestIterate:
         v = constant(rng.normal(size=(D, 4)))
         u = constant(rng.normal(size=(D, 1)))
         flags = RunConfig(k_neighbors=2, steps=0)
-        state, records = iterate(v, u, make_commands(rng, 0), params, flags)
-        np.testing.assert_array_equal(state.nodes.data, init_graph(v, u).nodes.data)
-        assert records == [] and state.step == 1
+        nodes, records = iterate(v, u, [], params, flags)
+        np.testing.assert_array_equal(nodes.data, init_graph(v, u).data)
+        assert records == []
 
-    def test_no_infer_forces_zero_steps(self, rng, params):
+    def test_records_number_steps_from_one(self, rng, params):
         v = constant(rng.normal(size=(D, 4)))
         u = constant(rng.normal(size=(D, 1)))
-        flags = RunConfig(ablations=["no_infer"], k_neighbors=2, steps=3)
-        state, _ = iterate(v, u, make_commands(rng, 3), params, flags)
-        assert state.step == 1
+        flags = RunConfig(k_neighbors=2, steps=3)
+        _, records = iterate(v, u, make_commands(rng, 3), params, flags)
+        assert [r.step for r in records] == [1, 2, 3]
 
     def test_single_step_equals_manual_composition(self, rng, params):
         v = constant(rng.normal(size=(D, 4)))
         u = constant(rng.normal(size=(D, 1)))
         commands = make_commands(rng, 1)
         flags = RunConfig(k_neighbors=2, steps=1)
-        state, _ = iterate(v, u, commands, params, flags)
+        nodes, _ = iterate(v, u, commands, params, flags)
 
         manual = init_graph(v, u)
-        cmd = commands(1)
-        adj = adjacency(manual.nodes, cmd.vector, params)
+        cmd = commands[0]
+        adj = adjacency(manual, cmd.vector, params)
         nb = select_neighbors(adj.data, 2)
-        _, _, messages = message_passing(manual.nodes, adj, nb, cmd.vector, params)
+        _, _, messages = message_passing(manual, adj, nb, cmd.vector, params)
         manual = update_nodes(manual, messages, params)
-        assert np.array_equal(state.nodes.data, manual.nodes.data)
+        assert np.array_equal(nodes.data, manual.data)
 
     def test_visual_block_fixed_across_steps(self, rng, params):
         v = rng.normal(size=(D, 5))
         flags = RunConfig(k_neighbors=2, steps=3)
-        state, records = iterate(constant(v), constant(rng.normal(size=(D, 1))),
+        nodes, records = iterate(constant(v), constant(rng.normal(size=(D, 1))),
                                  make_commands(rng, 3), params, flags)
-        assert np.array_equal(state.nodes.data[:D], v)
+        assert np.array_equal(nodes.data[:D], v)
         for rec in records:
             assert np.array_equal(rec.nodes_after[:D], v)
 
@@ -275,9 +289,9 @@ class TestIterate:
         flags = RunConfig(k_neighbors=n, steps=1)
         _, records = iterate(v, u, commands, params, flags)
 
-        state = init_graph(v, u)
-        cmd = commands(1).vector.data
-        N = state.nodes.data
+        nodes = init_graph(v, u)
+        cmd = commands[0].vector.data
+        N = nodes.data
         gate = params.edge_cmd_gate.data @ cmd
         A = (params.edge_dst_proj.data @ N).T @ ((params.edge_src_proj.data @ N) * gate)
         dense = np_softmax_rows(A)
@@ -294,8 +308,8 @@ class TestIterate:
         flags = RunConfig(k_neighbors=2, steps=2)
 
         def run(visual):
-            state, records = iterate(constant(visual), u, commands, params, flags)
-            emb, _ = graph_attention(state.nodes, q_sent, params)
+            nodes, records = iterate(constant(visual), u, commands, params, flags)
+            emb, _ = graph_attention(nodes, q_sent, params)
             fused = fuse(emb, u, q_sent, params)
             return records, fused.data
 
@@ -316,10 +330,10 @@ class TestIterate:
 
 class TestGraphAttention:
     def test_single_node_passthrough(self, rng, params):
-        state = init_graph(constant(rng.normal(size=(D, 1))), constant(rng.normal(size=(D, 1))))
-        emb, alpha = graph_attention(state.nodes, constant(rng.normal(size=(D, 1))), params)
+        nodes = init_graph(constant(rng.normal(size=(D, 1))), constant(rng.normal(size=(D, 1))))
+        emb, alpha = graph_attention(nodes, constant(rng.normal(size=(D, 1))), params)
         np.testing.assert_allclose(alpha.data, [[1.0]])
-        np.testing.assert_allclose(emb.data, state.nodes.data)
+        np.testing.assert_allclose(emb.data, nodes.data)
 
     def test_identical_nodes_give_common_node(self, rng, params):
         col = rng.normal(size=(2 * D, 1))
@@ -362,19 +376,18 @@ def test_graph_params_gradients(rng, params):
     v = Tensor(rng.normal(size=(D, 4)), requires_grad=True)
     u = Tensor(rng.normal(size=(D, 1)), requires_grad=True)
     q_sent = constant(rng.normal(size=(D, 1)))
-    cmd_vecs = {t: Tensor(rng.normal(size=(DW, 1)), requires_grad=True) for t in (1, 2)}
+    cmd_vecs = [Tensor(rng.normal(size=(DW, 1)), requires_grad=True) for _ in range(2)]
     flags = RunConfig(k_neighbors=2, steps=2)
     weights = constant(rng.normal(size=(D, 1)))
 
-    def commands(t):
-        return QuestionCommand(constant(np.ones((1, 1))), cmd_vecs[t])
+    commands = [QuestionCommand(constant(np.ones((1, 1))), vec) for vec in cmd_vecs]
 
     def loss():
-        state, _ = iterate(v, u, commands, params, flags)
-        emb, _ = graph_attention(state.nodes, q_sent, params)
+        nodes, _ = iterate(v, u, commands, params, flags)
+        emb, _ = graph_attention(nodes, q_sent, params)
         return T.mul(fuse(emb, u, q_sent, params), weights).sum()
 
     checked = list(params.named()) + [("visual", v), ("context", u),
-                                      ("cmd1", cmd_vecs[1]), ("cmd2", cmd_vecs[2])]
+                                      ("cmd1", cmd_vecs[0]), ("cmd2", cmd_vecs[1])]
     report = finite_diff_check(loss, checked, step=1e-5, tol=1e-4)
     assert report.passed, report.summary()

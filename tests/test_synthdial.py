@@ -133,8 +133,15 @@ class TestOracle:
             oracle_answer(small_scene(), ResolvedQuestion("color_of"))
         with pytest.raises(UnresolvedReferent):
             oracle_answer(small_scene(), ResolvedQuestion("spatial", subject_ids=(0,)))
+        # a reference id must index the scene: -1 must not wrap around to
+        # the last object, and len(objects) must not escape as an IndexError
+        for ref_id in (-1, len(small_scene().objects)):
+            with pytest.raises(UnresolvedReferent, match="out of range"):
+                oracle_answer(small_scene(), ResolvedQuestion(
+                    "spatial", subject_ids=(0,), ref_id=ref_id, relation="left"))
 
     def test_group_color_requires_consistency(self):
+        # a question has exactly one subject, so a group is refused outright
         scene = Scene([
             SceneObject("dog", "red", "small", (0, 0)),
             SceneObject("dog", "blue", "small", (1, 0)),

@@ -24,7 +24,6 @@ from cag.tensor import (
     take_rows,
     tanh,
     tensor_sum,
-    topk_indices,
     transpose,
     zero_grad,
 )
@@ -33,13 +32,6 @@ from cag.tensor import (
 def softmax(a, axis):
     """The plain softmax: masked_softmax without a mask."""
     return masked_softmax(a, None, axis=axis)
-
-
-def brute_force_topk(row, k):
-    """Full stable sort oracle: value descending, index ascending on ties."""
-    k = min(k, len(row))
-    order = sorted(range(len(row)), key=lambda i: (-row[i], i))
-    return sorted(order[:k])
 
 
 class TestPrimitives:
@@ -137,42 +129,6 @@ class TestSoftmax:
             results.append((y.data, a.grad))
         (y0, g0), (y1, g1) = results
         assert y0.tobytes() == y1.tobytes() and g0.tobytes() == g1.tobytes()
-
-
-class TestTopK:
-    def test_basic(self):
-        np.testing.assert_array_equal(topk_indices(np.array([3.0, 1.0, 2.0]), 2), [0, 2])
-
-    def test_tie_breaks_to_lowest_index(self):
-        np.testing.assert_array_equal(topk_indices(np.array([5.0, 5.0, 1.0]), 1), [0])
-
-    def test_full_selection(self):
-        np.testing.assert_array_equal(topk_indices(np.arange(5.0), 5), np.arange(5))
-
-    def test_clamps_with_warning(self, caplog):
-        with caplog.at_level("WARNING"):
-            out = topk_indices(np.array([1.0, 2.0]), 8)
-        np.testing.assert_array_equal(out, [0, 1])
-        assert "clamping" in caplog.text
-
-    def test_agrees_with_brute_force_on_1000_rows_with_duplicates(self):
-        rng = np.random.default_rng(7)
-        for _ in range(1000):
-            n = int(rng.integers(1, 16))
-            # low-cardinality values force duplicates
-            row = rng.integers(0, 4, size=n).astype(float)
-            k = int(rng.integers(1, n + 1))
-            np.testing.assert_array_equal(
-                topk_indices(row, k), brute_force_topk(list(row), k)
-            )
-
-    @given(st.lists(st.integers(0, 3), min_size=1, max_size=10), st.integers(1, 10))
-    def test_matches_oracle_hypothesis(self, values, k):
-        row = np.array(values, dtype=float)
-        np.testing.assert_array_equal(
-            topk_indices(row, min(k, len(values))),
-            brute_force_topk(values, min(k, len(values))),
-        )
 
 
 class TestL2Normalize:
